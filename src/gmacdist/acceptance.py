@@ -16,7 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .model import DistortionPair, derive_seed, symmetric_instance
-from .rd_bounds import rd_rate, symmetric_outer_bound, waterfill_oracle_rate
+from .rd_bounds import rd_rate, symmetric_outer_bound, waterfill_oracle_rates
 from .uncoded import simulate_uncoded, symmetric_uncoded_bound, uncoded_distortions
 from .vq_analytic import (
     high_snr_asymptote,
@@ -43,15 +43,14 @@ def _criterion_1(seed: int, threads: int):
     """Closed-form rate agrees with the scaled allocation oracle."""
     rhos = (0.0, 0.3, 0.5, 0.8, 0.95)
     grid = np.linspace(0.05, 1.0, 20)
-    worst = 0.0
+    d1, d2 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    diffs = []
     for rho in rhos:
         c = symmetric_instance(1.0, rho, 1.0, 1.0)
-        for d1 in grid:
-            for d2 in grid:
-                d = DistortionPair(float(d1), float(d2))
-                diff = abs(rd_rate(c, d) - waterfill_oracle_rate(c, d))
-                if diff > worst:
-                    worst = diff
+        closed = [rd_rate(c, DistortionPair(a, b))
+                  for a, b in zip(d1.tolist(), d2.tolist())]
+        diffs.append(np.abs(np.array(closed) - waterfill_oracle_rates(c, d1, d2)))
+    worst = float(np.max(diffs))
     return worst <= 1e-6, f"max |closed - oracle| = {worst:.3e} bits (tol 1e-06)"
 
 

@@ -69,7 +69,7 @@ def _add_instance_flags(sp):
                     help="transmit power for both senders (default 1)")
     sp.add_argument("--p1", type=float, default=None, help="sender 1 power")
     sp.add_argument("--p2", type=float, default=None, help="sender 2 power")
-    sp.add_argument("--noise", type=float, default=1.0,
+    sp.add_argument("--noise", type=float, default=None,
                     help="channel noise variance (default 1)")
 
 
@@ -88,9 +88,10 @@ def _instance_from_args(args) -> ProblemInstance:
     base_p = 1.0 if args.p is None else args.p
     p1 = base_p if args.p1 is None else args.p1
     p2 = base_p if args.p2 is None else args.p2
+    noise = 1.0 if args.noise is None else args.noise
     try:
         return ProblemInstance(sigma1_sq=v1, sigma2_sq=v2, rho=args.rho,
-                               p1=p1, p2=p2, noise_var=args.noise)
+                               p1=p1, p2=p2, noise_var=noise)
     except ValueError as e:
         raise CliError(str(e))
 
@@ -279,8 +280,8 @@ def _parse_grid(spec: str) -> np.ndarray:
     scale = parts[3]
     if count < 1:
         raise CliError("grid needs at least one point")
-    if start <= 0 or stop <= 0:
-        raise CliError("power ratios must be positive")
+    if not (0 < start < math.inf and 0 < stop < math.inf):
+        raise CliError("power ratios must be positive and finite")
     if scale == "log":
         return np.geomspace(start, stop, count)
     if scale == "lin":
@@ -309,6 +310,11 @@ def _cmd_sweep(args) -> int:
     sigma_sq = 1.0 if args.sigma2 is None else args.sigma2
     if args.var1 is not None or args.var2 is not None:
         raise CliError("power sweeps are symmetric; use --sigma2")
+    if any(v is not None for v in (args.p, args.p1, args.p2, args.noise)):
+        raise CliError("power sweeps take their powers from --snr-grid at "
+                       "noise variance 1; drop --p/--p1/--p2/--noise")
+    if not 0 < sigma_sq < math.inf:
+        raise CliError("source variance must be positive and finite")
     try:
         records = snr_sweep(sigma_sq, abs(args.rho), _parse_grid(args.snr_grid))
     except ValueError as e:
@@ -334,6 +340,9 @@ def _cmd_verify(args) -> int:
     except ValueError as e:
         raise CliError(str(e))
     _emit(args, format_report(results, args.seed))
+    if args.timings:
+        for r in results:
+            print(f"criterion {r.number}: {r.elapsed_s:.3f} s", file=sys.stderr)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -405,6 +414,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--criteria", default=None,
                     help="comma-separated criterion numbers (default: all)")
+    sp.add_argument("--timings", action="store_true",
+                    help="print each criterion's wall time to stderr")
     _add_output_flags(sp, fmt_choices=())
     sp.set_defaults(handler=_cmd_verify)
 

@@ -47,14 +47,14 @@ class ProblemInstance:
     noise_var: float
 
     def __post_init__(self):
-        if not (self.sigma1_sq > 0 and self.sigma2_sq > 0):
-            raise ValueError("source variances must be positive")
+        if not (0 < self.sigma1_sq < math.inf and 0 < self.sigma2_sq < math.inf):
+            raise ValueError("source variances must be positive and finite")
         if not -1.0 <= self.rho <= 1.0:
             raise ValueError("correlation must lie in [-1, 1]")
-        if not (self.p1 > 0 and self.p2 > 0):
-            raise ValueError("powers must be positive")
-        if not self.noise_var > 0:
-            raise ValueError("noise variance must be positive")
+        if not (0 < self.p1 < math.inf and 0 < self.p2 < math.inf):
+            raise ValueError("powers must be positive and finite")
+        if not 0 < self.noise_var < math.inf:
+            raise ValueError("noise variance must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -86,6 +86,18 @@ class CanonicalInstance:
             raise ValueError("noise variance must be positive")
         if not (self.scale1 > 0 and self.scale2 > 0):
             raise ValueError("scale factors must be positive")
+
+    @property
+    def sqrt_p1p2(self) -> float:
+        """sqrt(p1 * p2), the cross-term amplitude of two coherent senders.
+
+        Taken as sqrt(p1) * sqrt(p2) only when the product overflows, so
+        ordinary instances keep the bits of the direct form.
+        """
+        prod = self.p1 * self.p2
+        if math.isfinite(prod):
+            return math.sqrt(prod)
+        return math.sqrt(self.p1) * math.sqrt(self.p2)
 
 
 @dataclass(frozen=True)

@@ -109,7 +109,7 @@ def rd_rate(c: CanonicalInstance, d: DistortionPair) -> float:
 
 def capacity_term(c: CanonicalInstance) -> float:
     """Capacity of the sum channel with fully coherent senders, bits/use."""
-    boost = c.p1 + c.p2 + 2.0 * c.rho * math.sqrt(c.p1 * c.p2)
+    boost = c.p1 + c.p2 + 2.0 * c.rho * c.sqrt_p1p2
     return 0.5 * math.log2(1.0 + boost / c.noise_var)
 
 
@@ -157,88 +157,126 @@ _LOGC_HI = 8.0
 
 
 def _component_rates(sigma_sq, rho, d1, d2, cs):
-    """Vectorized minimal rate meeting (d1, d2) for scaling factors cs."""
-    cs = np.asarray(cs, dtype=float)
+    """Vectorized minimal rate meeting (d1, d2) for scaling factors cs.
+
+    Arguments broadcast against each other.  Degenerate scalings divide by
+    zero on the way, so callers run this under np.errstate(all="ignore").
+    """
     k11 = sigma_sq
-    k22 = cs * cs * sigma_sq
+    cs2 = cs * cs
+    k22 = cs2 * sigma_sq
     k12 = cs * rho * sigma_sq
+    k12_sq = k12 * k12
     tr = k11 + k22
     disc = np.sqrt((k11 - k22) ** 2 + 4.0 * k12 * k12)
     lam_hi = 0.5 * (tr + disc)
-    det = cs * cs * sigma_sq * sigma_sq * (1.0 - rho * rho)
+    det = k22 * sigma_sq * (1.0 - rho * rho)
     lam_lo = det / lam_hi
     # squared weight of coordinate 1 on the lam_hi eigenvector
     dif = lam_hi - k11
-    wden = k12 * k12 + dif * dif
-    w = np.where(wden > 0, k12 * k12 / np.where(wden > 0, wden, 1.0), 1.0)
+    wden = k12_sq + dif * dif
+    w = np.where(wden > 0, k12_sq / wden, 1.0)
 
-    t1 = np.broadcast_to(np.asarray(d1, dtype=float), cs.shape)
-    t2 = cs * cs * d2
-    th1 = _theta_star(t1, w, lam_hi, lam_lo, k11)
-    th2 = _theta_star(t2, 1.0 - w, lam_hi, lam_lo, k22)
+    w_lo = 1.0 - w
+    th1 = _theta_star(d1, w, w_lo, lam_lo, k11)
+    th2 = _theta_star(cs2 * d2, w_lo, 1.0 - w_lo, lam_lo, k22)
     theta = np.minimum(th1, th2)
 
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_hi = np.where(theta < lam_hi, 0.5 * np.log2(lam_hi / theta), 0.0)
-        r_lo = np.where(theta < lam_lo, 0.5 * np.log2(lam_lo / theta), 0.0)
-    return np.maximum(r_hi + r_lo, 0.0)
+    # each eigen-direction adds 0.5*log2(lam/theta) while the water level
+    # sits below it; elsewhere that term is <= 0 or NaN (0/0, inf/inf),
+    # which fmax maps to 0
+    r_hi = np.fmax(0.5 * np.log2(lam_hi / theta), 0.0)
+    r_lo = np.fmax(0.5 * np.log2(lam_lo / theta), 0.0)
+    return r_hi + r_lo
 
 
-def _theta_star(t, w_hi, lam_hi, lam_lo, k_diag):
+def _theta_star(t, w_hi, w_lo, lam_lo, k_diag):
     """Largest water level whose rotated distortion stays at or below t.
 
     The rotated distortion w_hi*min(theta, lam_hi) + (1-w_hi)*min(theta, lam_lo)
     rises linearly from 0 to the coordinate variance k_diag, so inversion is
-    piecewise linear; targets at or above k_diag never bind.
+    piecewise linear; targets at or above k_diag never bind.  w_lo is the
+    caller's 1 - w_hi.
     """
-    w_hi = np.asarray(w_hi, dtype=float)
     safe_w = np.where(w_hi > 0, w_hi, 1.0)
-    mid = (t - (1.0 - w_hi) * lam_lo) / safe_w
+    mid = (t - w_lo * lam_lo) / safe_w
     out = np.where(t <= lam_lo, t, mid)
     return np.where(t >= k_diag, np.inf, out)
 
 
-def waterfill_oracle_rate(c: CanonicalInstance, d: DistortionPair,
-                          tolerance: float = 1e-9, max_iter: int = 200) -> float:
-    """Minimal description rate via scaling plus reverse waterfilling.
+def waterfill_oracle_rates(c: CanonicalInstance, d1, d2,
+                           tolerance: float = 1e-9, max_iter: int = 200) -> np.ndarray:
+    """Minimal description rates via scaling plus reverse waterfilling, for
+    a batch of targets (d1[k], d2[k]).
 
-    Independent of the closed-form rate formula; scans scalings of the
-    second component on a log grid over [-8, 8] and refines the best cell by
-    golden-section search.  Raises ConvergenceError if the refinement fails
-    to shrink its bracket within max_iter steps.
+    Independent of the closed-form rate formula.  For each target, scans
+    scalings of the second component on a log grid over [-8, 8] and refines
+    the best cell by golden-section search; the targets advance in lockstep,
+    each stopping once its own bracket is narrower than 1e-12.  Every entry
+    is bitwise what a batch of that target alone returns.  Raises
+    ConvergenceError if some bracket fails to shrink within max_iter steps.
     """
-    if not (d.d1 > 0 and d.d2 > 0):
+    d1 = np.asarray(d1, dtype=float).ravel()
+    d2 = np.asarray(d2, dtype=float).ravel()
+    if not (np.all(d1 > 0) and np.all(d2 > 0)):
         raise ValueError("distortion targets must be positive")
-    d1 = min(d.d1, c.sigma_sq)
-    d2 = min(d.d2, c.sigma_sq)
+    d1 = np.minimum(d1, c.sigma_sq)
+    d2 = np.minimum(d2, c.sigma_sq)
+    with np.errstate(all="ignore"):
+        return _golden_section(c, d1, d2, tolerance, max_iter)
+
+
+def _golden_section(c, d1, d2, tolerance, max_iter):
+    def f(logc, t1, t2):
+        return _component_rates(c.sigma_sq, c.rho, t1, t2, np.exp(logc))
 
     grid = np.linspace(_LOGC_LO, _LOGC_HI, 257)
-    rates = _component_rates(c.sigma_sq, c.rho, d1, d2, np.exp(grid))
-    i = int(np.argmin(rates))
-    best = float(rates[i])
+    rates = f(grid, d1[:, None], d2[:, None])
+    i = np.argmin(rates, axis=1)
+    best = rates[np.arange(d1.size), i]
 
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, len(grid) - 1)]
-
-    def f(logc):
-        return float(_component_rates(c.sigma_sq, c.rho, d1, d2, np.exp([logc]))[0])
+    lo = grid[np.maximum(i - 1, 0)]
+    hi = grid[np.minimum(i + 1, len(grid) - 1)]
 
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     x1 = hi - invphi * (hi - lo)
     x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1), f(x2)
+    f1, f2 = f(x1, d1, d2), f(x2, d1, d2)
+    # targets whose bracket has closed leave the batch; their last probe
+    # values stay behind at their batch positions
+    pos = np.arange(d1.size)
+    end1, end2 = np.empty_like(f1), np.empty_like(f2)
+    span = hi - lo
     for _ in range(max_iter):
-        if hi - lo < 1e-12:
-            break
-        if f1 <= f2:
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - invphi * (hi - lo)
-            f1 = f(x1)
-        else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + invphi * (hi - lo)
-            f2 = f(x2)
+        closed = span < 1e-12
+        if closed.any():
+            end1[pos], end2[pos] = f1, f2
+            live = ~closed
+            pos, lo, hi, span, x1, x2, f1, f2, d1, d2 = (
+                a[live] for a in (pos, lo, hi, span, x1, x2, f1, f2, d1, d2))
+            if not pos.size:
+                break
+        # keep the side of the lower probe; f1 <= f2 settles ties and NaNs
+        # exactly as a scalar comparison would
+        left = f1 <= f2
+        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
+        span = hi - lo
+        width = invphi * span
+        x1, x2 = np.where(left, hi - width, x2), np.where(left, x1, lo + width)
+        fx = f(np.where(left, x1, x2), d1, d2)
+        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
     else:
-        if hi - lo > max(tolerance, 1e-6):
+        if np.any(span > max(tolerance, 1e-6)):
             raise ConvergenceError("scaling search did not converge")
-    return min(best, f1, f2)
+        end1[pos], end2[pos] = f1, f2
+    # min(best, f1, f2) as Python's min takes it: a later value replaces an
+    # earlier one only if strictly smaller
+    out = np.where(end1 < best, end1, best)
+    return np.where(end2 < out, end2, out)
+
+
+def waterfill_oracle_rate(c: CanonicalInstance, d: DistortionPair,
+                          tolerance: float = 1e-9, max_iter: int = 200) -> float:
+    """Minimal description rate of one target pair: waterfill_oracle_rates
+    on a batch of one."""
+    return float(waterfill_oracle_rates(c, d.d1, d.d2, tolerance, max_iter)[0])

@@ -16,7 +16,13 @@ import numpy as np
 from .model import CanonicalInstance, DistortionPair
 from .rd_bounds import capacity_term, check_necessary_condition, rd_rate, symmetric_outer_bound
 from .uncoded import optimality_threshold, symmetric_uncoded_bound, uncoded_distortions
-from .vq_analytic import in_rate_region, make_rate_pair, solve_symmetric_rate, vq_distortions
+from .vq_analytic import (
+    distortion_grid,
+    in_rate_region,
+    make_rate_pair,
+    solve_symmetric_rate,
+    vq_distortions,
+)
 
 _REL_TOL = 1e-9
 
@@ -76,54 +82,57 @@ class BoundaryPoint:
 def _rate_axis_cap(c: CanonicalInstance) -> float:
     # generous ceiling on useful per-sender rates; the decodable region's
     # sum constraint keeps the optimum well inside this for sane instances
-    top = (c.p1 + c.p2 + 2.0 * math.sqrt(c.p1 * c.p2)) / c.noise_var
+    top = (c.p1 + c.p2 + 2.0 * c.sqrt_p1p2) / c.noise_var
     cap = 0.5 * math.log2(1.0 + top)
     if c.rho < 1.0:
         cap += 0.5 * math.log2(1.0 / (1.0 - c.rho * c.rho))
+    if not math.isfinite(cap):
+        raise ValueError("power-to-noise ratio too large: the rate search "
+                         "range overflows")
     return max(cap + 3.0, 2.0)
 
 
-def _feasible(c, r1, r2):
-    return in_rate_region(c, make_rate_pair(c, r1, r2))
+def _best_in_window(c: CanonicalInstance, objective, axis1, axis2):
+    """Smallest objective over the grid axis1 x axis2, as (r1, r2, value).
+
+    Cells outside the region and NaN objectives score +inf.  argmin takes
+    the first minimum in row-major order, the cell a strict-< scan with r1
+    in the outer loop would keep.
+    """
+    inside, d1, d2 = distortion_grid(c, axis1, axis2)
+    with np.errstate(all="ignore"):
+        val = objective(d1, d2)
+    val = np.where(inside & ~np.isnan(val), val, math.inf)
+    k = int(np.argmin(val))
+    i, j = divmod(k, len(axis2))
+    return float(axis1[i]), float(axis2[j]), float(val[i, j])
 
 
 def _search_rates(c: CanonicalInstance, objective, grid: int = 64, tol: float = 1e-6):
     """Minimize an objective over the decodable rate region.
 
     Coarse log-spaced grid (zero rate included on each axis) followed by
-    repeatedly zooming a local grid onto the incumbent; the window shrinks
+    repeatedly zooming a 13 x 13 grid onto the incumbent; the window shrinks
     slower than its own spacing, so ridge minima that need simultaneous
-    moves of both rates stay inside it.  The objective receives (r1, r2);
-    points outside the region score +inf.  Returns (r1, r2, value); value
-    is +inf if nothing was feasible.
+    moves of both rates stay inside it.  Each grid is scored in one pass:
+    the objective maps the arrays (d1, d2) of scheme distortions over the
+    grid to an array of values, and points outside the region score +inf.
+    A window's best point replaces the incumbent only if strictly smaller.
+    Returns (r1, r2, value); value is +inf if nothing was feasible.
     """
     cap = _rate_axis_cap(c)
     axis = np.concatenate(([0.0], np.geomspace(1e-3, cap, grid - 1)))
+    r1, r2, val = _best_in_window(c, objective, axis, axis)
+    if not math.isfinite(val):
+        return 0.0, 0.0, math.inf
 
-    def score(r1, r2):
-        if r1 < 0 or r2 < 0 or not _feasible(c, r1, r2):
-            return math.inf
-        return objective(r1, r2)
-
-    best = (0.0, 0.0, math.inf)
-    for r1 in axis:
-        for r2 in axis:
-            v = score(r1, r2)
-            if v < best[2]:
-                best = (float(r1), float(r2), v)
-    if not math.isfinite(best[2]):
-        return best
-
-    r1, r2, val = best
     span = cap / 4.0
     while span > tol / 2.0:
         loc1 = np.linspace(max(0.0, r1 - span), min(cap, r1 + span), 13)
         loc2 = np.linspace(max(0.0, r2 - span), min(cap, r2 + span), 13)
-        for a in loc1:
-            for b in loc2:
-                v = score(float(a), float(b))
-                if v < val:
-                    r1, r2, val = float(a), float(b), v
+        a, b, v = _best_in_window(c, objective, loc1, loc2)
+        if v < val:
+            r1, r2, val = a, b, v
         span /= 4.0
     return r1, r2, val
 
@@ -134,12 +143,8 @@ def best_vq_for_targets(c: CanonicalInstance, d: DistortionPair):
     Returns (rates, distortions, ratio); ratio <= 1 means the scheme meets
     both targets at those rates.
     """
-
-    def objective(r1, r2):
-        dd = vq_distortions(c, make_rate_pair(c, r1, r2))
-        return max(dd.d1 / d.d1, dd.d2 / d.d2)
-
-    r1, r2, ratio = _search_rates(c, objective)
+    r1, r2, ratio = _search_rates(
+        c, lambda d1, d2: np.maximum(d1 / d.d1, d2 / d.d2))
     rates = make_rate_pair(c, r1, r2)
     return rates, vq_distortions(c, rates), ratio
 
@@ -159,7 +164,7 @@ def verdict(c: CanonicalInstance, d: DistortionPair) -> SweepRecord:
         v = Verdict.UNACHIEVABLE
     elif unc.d1 <= d.d1 * (1.0 + _REL_TOL) and unc.d2 <= d.d2 * (1.0 + _REL_TOL):
         v = Verdict.UNCODED_ACHIEVES
-    elif ratio <= 1.0 + _REL_TOL:
+    elif ratio <= 1.0 + _REL_TOL and in_rate_region(c, rates):
         v = Verdict.VQ_ACHIEVES
     else:
         v = Verdict.GAP
@@ -279,11 +284,8 @@ def trace_region_boundary(c: CanonicalInstance, resolution: int = 64) -> list:
         outer_d2 = _min_outer_d2(c, d1, cap)
         unc_d2 = unc.d2 if unc.d1 <= d1 * (1.0 + _REL_TOL) else math.nan
 
-        def objective(r1, r2):
-            dd = vq_distortions(c, make_rate_pair(c, r1, r2))
-            if dd.d1 > d1 * (1.0 + _REL_TOL):
-                return math.inf
-            return dd.d2
+        def objective(vq_d1, vq_d2):
+            return np.where(vq_d1 > d1 * (1.0 + _REL_TOL), math.inf, vq_d2)
 
         _, _, vq_d2 = _search_rates(c, objective)
         points.append(BoundaryPoint(d1=d1, outer_d2=outer_d2,

@@ -59,7 +59,7 @@ def uncoded_distortions(c: CanonicalInstance) -> UncodedResult:
     """
     s2 = c.sigma_sq
     rho = c.rho
-    cross = 2.0 * rho * math.sqrt(c.p1 * c.p2)
+    cross = 2.0 * rho * c.sqrt_p1p2
     var_y = c.p1 + c.p2 + cross + c.noise_var
     d1 = s2 * (c.p2 * (1.0 - rho * rho) + c.noise_var) / var_y
     d2 = s2 * (c.p1 * (1.0 - rho * rho) + c.noise_var) / var_y

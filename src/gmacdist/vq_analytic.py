@@ -11,10 +11,61 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .model import CanonicalInstance, DistortionPair
 from .rd_bounds import ConvergenceError
 
 _REGION_TOL = 1e-12
+
+
+def _libm(fn, x):
+    """Apply a scalar math function elementwise, returning an array.
+
+    numpy's vectorized power and log2 differ from libm in the last bit on a
+    small share of inputs; going through libm keeps the array forms below
+    bitwise equal to scalar evaluation.
+    """
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def _share(r):
+    """2^-2r, the share of source variance a rate-r quantizer leaves."""
+    return _libm(lambda v: 2.0 ** (-2.0 * v), r)
+
+
+def _corr(rho, q1, q2):
+    return rho * np.sqrt((1.0 - q1) * (1.0 - q2))
+
+
+def _limits(c: CanonicalInstance, rt):
+    n = c.noise_var
+    one = 1.0 - rt * rt
+    b1 = 0.5 * _libm(math.log2, (c.p1 * one + n) / (n * one))
+    b2 = 0.5 * _libm(math.log2, (c.p2 * one + n) / (n * one))
+    bsum = 0.5 * _libm(math.log2, (c.p1 + c.p2 + 2.0 * rt * c.sqrt_p1p2 + n) / (n * one))
+    return b1, b2, bsum
+
+
+def _inside(r1, r2, limits):
+    b1, b2, bsum = limits
+    return ((r1 <= b1 + _REGION_TOL) & (r2 <= b2 + _REGION_TOL)
+            & (r1 + r2 <= bsum + _REGION_TOL))
+
+
+def _distortions(c: CanonicalInstance, q1, q2, rt):
+    rho2 = c.rho * c.rho
+    denom = 1.0 - rt * rt
+    d1 = c.sigma_sq * q1 * (1.0 - rho2 * (1.0 - q2)) / denom
+    d2 = c.sigma_sq * q2 * (1.0 - rho2 * (1.0 - q1)) / denom
+    return d1, d2
+
+
+def _require_decodable(rt: float):
+    if 1.0 - rt * rt == 0.0:
+        raise ValueError("residual codeword correlation rounds to 1 at these "
+                         "rates, where the closed forms are undefined")
 
 
 def rho_tilde(rho: float, r1: float, r2: float) -> float:
@@ -27,7 +78,7 @@ def rho_tilde(rho: float, r1: float, r2: float) -> float:
         raise ValueError("correlation must lie in [0, 1]")
     if r1 < 0 or r2 < 0:
         raise ValueError("rates must be nonnegative")
-    return rho * math.sqrt((1.0 - 2.0 ** (-2.0 * r1)) * (1.0 - 2.0 ** (-2.0 * r2)))
+    return float(_corr(rho, _share(r1), _share(r2)))
 
 
 @dataclass(frozen=True)
@@ -53,13 +104,9 @@ class VqBoundResult:
 
 def rate_region_limits(c: CanonicalInstance, rt: float):
     """Single-rate and sum-rate ceilings of the decodable region at a given
-    residual correlation."""
-    n = c.noise_var
-    one = 1.0 - rt * rt
-    b1 = 0.5 * math.log2((c.p1 * one + n) / (n * one))
-    b2 = 0.5 * math.log2((c.p2 * one + n) / (n * one))
-    bsum = 0.5 * math.log2((c.p1 + c.p2 + 2.0 * rt * math.sqrt(c.p1 * c.p2) + n) / (n * one))
-    return b1, b2, bsum
+    residual correlation.  Raises ValueError when 1 - rt^2 rounds to 0."""
+    _require_decodable(rt)
+    return tuple(float(b) for b in _limits(c, rt))
 
 
 def in_rate_region(c: CanonicalInstance, rates: RatePair) -> bool:
@@ -68,9 +115,8 @@ def in_rate_region(c: CanonicalInstance, rates: RatePair) -> bool:
     The defining inequalities are strict; membership is tested with a 1e-12
     closure so boundary points do not flap under rounding.
     """
-    b1, b2, bsum = rate_region_limits(c, rates.rho_tilde)
-    return (rates.r1 <= b1 + _REGION_TOL and rates.r2 <= b2 + _REGION_TOL
-            and rates.r1 + rates.r2 <= bsum + _REGION_TOL)
+    limits = rate_region_limits(c, rates.rho_tilde)
+    return bool(_inside(rates.r1, rates.r2, limits))
 
 
 def vq_distortions(c: CanonicalInstance, rates: RatePair) -> DistortionPair:
@@ -81,22 +127,35 @@ def vq_distortions(c: CanonicalInstance, rates: RatePair) -> DistortionPair:
     """
     if not (math.isfinite(rates.r1) and math.isfinite(rates.r2)):
         raise ValueError("rates must be finite")
-    q1 = 2.0 ** (-2.0 * rates.r1)
-    q2 = 2.0 ** (-2.0 * rates.r2)
-    rt = rates.rho_tilde
-    rho2 = c.rho * c.rho
-    denom = 1.0 - rt * rt
-    d1 = c.sigma_sq * q1 * (1.0 - rho2 * (1.0 - q2)) / denom
-    d2 = c.sigma_sq * q2 * (1.0 - rho2 * (1.0 - q1)) / denom
-    return DistortionPair(d1, d2)
+    _require_decodable(rates.rho_tilde)
+    d1, d2 = _distortions(c, _share(rates.r1), _share(rates.r2), rates.rho_tilde)
+    return DistortionPair(float(d1), float(d2))
+
+
+def distortion_grid(c: CanonicalInstance, r1: np.ndarray, r2: np.ndarray):
+    """Region membership and distortions at every rate pair of the grid
+    r1 x r2 (first rate down the rows).
+
+    Returns (inside, d1, d2) as arrays of shape (len(r1), len(r2)); each
+    cell is bitwise what in_rate_region and vq_distortions give for that
+    pair.  Cells where 1 - rho_tilde^2 rounds to 0 count as outside.
+    """
+    r1 = np.asarray(r1, dtype=float)[:, None]
+    r2 = np.asarray(r2, dtype=float)[None, :]
+    q1, q2 = _share(r1), _share(r2)
+    rt = _corr(c.rho, q1, q2)
+    with np.errstate(all="ignore"):
+        inside = (1.0 - rt * rt != 0.0) & _inside(r1, r2, _limits(c, rt))
+        d1, d2 = _distortions(c, q1, q2, rt)
+    return inside, d1, d2
 
 
 def vq_bound(c: CanonicalInstance, r1: float, r2: float) -> VqBoundResult:
     """Region membership and distortions for an explicit rate pair."""
     rates = make_rate_pair(c, r1, r2)
+    d = vq_distortions(c, rates)
     return VqBoundResult(rates=rates, in_region=in_rate_region(c, rates),
-                         d1=vq_distortions(c, rates).d1,
-                         d2=vq_distortions(c, rates).d2)
+                         d1=d.d1, d2=d.d2)
 
 
 def _symmetric_rhs(rho: float, p: float, noise_var: float, r: float) -> float:

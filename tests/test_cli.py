@@ -1,5 +1,7 @@
 import json
 import math
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -243,6 +245,16 @@ def test_sweep_flag_validation(capsys):
     assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid", "1:2:3")[0] == 1
     assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid=-1:2:3:log")[0] == 1
     assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid", "1:2:3:cubic")[0] == 1
+    assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid", "1:inf:3:log")[0] == 1
+    assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid", "1:2:3:log",
+                   "--sigma2", "inf")[0] == 1
+
+    # power sweeps set the powers from the grid at noise variance 1
+    for flags in (("--p", "2"), ("--p1", "2"), ("--p2", "2"), ("--noise", "3")):
+        code, out, err = run_cli(capsys, "sweep", "--rho", "0.5",
+                                 "--snr-grid", "1:2:3:lin", *flags)
+        assert (code, out) == (1, "")
+        assert "--snr-grid" in err
 
     code, _, err = run_cli(capsys, "sweep", "--rho", "0.5",
                            "--snr-grid", "1:2:3:lin", "--var1", "2")
@@ -298,3 +310,43 @@ def test_verify_rejects_bad_criteria(capsys):
     assert code == 1
     assert "unknown" in err
     assert run_cli(capsys, "verify", "--criteria", "two")[0] == 1
+
+
+def test_huge_power_exits_promptly():
+    # the rate search range once overflowed and the zoom loop never ended
+    for p, code in (("1e300", 0), ("1e308", 1)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "gmacdist", "bounds", "--sigma2", "1",
+             "--rho", "0.5", "--p", p, "--noise", "1", "--d1", "0.5", "--d2", "0.5"],
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == code, proc.stderr
+        if code:
+            assert proc.stderr.count("\n") == 1 and "overflows" in proc.stderr
+        else:
+            check_schema(json.loads(proc.stdout), "bounds")
+
+
+def test_full_residual_correlation_exits_1(capsys):
+    code, out, err = run_cli(capsys, "vq-bound", "--rho", "1", "--p", "2",
+                             "--noise", "1", "--r1", "30", "--r2", "30")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "rounds to 1" in err
+
+
+def test_nonfinite_instance_values_exit_1(capsys):
+    for flags in (("--p", "inf"), ("--noise", "nan"), ("--var2", "inf")):
+        code, out, err = run_cli(capsys, "uncoded", "--rho", "0.5", *flags)
+        assert (code, out) == (1, "")
+        assert "finite" in err
+
+
+def test_verify_timings_go_to_stderr(capsys):
+    argv = ("verify", "--criteria", "2,3", "--seed", "7")
+    _, plain, plain_err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--timings")
+    assert code == 0
+    assert out == plain
+    assert plain_err == ""
+    lines = err.strip().split("\n")
+    assert [line.split(":")[0] for line in lines] == ["criterion 2", "criterion 3"]
+    assert all(line.endswith(" s") for line in lines)

@@ -32,6 +32,10 @@ def test_derive_seed_is_stable():
     dict(p1=0.0),
     dict(p2=-2.0),
     dict(noise_var=0.0),
+    dict(sigma2_sq=math.inf),
+    dict(p1=math.inf),
+    dict(p2=math.nan),
+    dict(noise_var=math.inf),
 ])
 def test_instance_validation(bad):
     kwargs = dict(sigma1_sq=1.0, sigma2_sq=1.0, rho=0.5, p1=1.0, p2=1.0,

@@ -5,6 +5,7 @@ import pytest
 
 from gmacdist import (
     CanonicalInstance,
+    ConvergenceError,
     DistortionPair,
     RdCaseTag,
     capacity_term,
@@ -15,6 +16,7 @@ from gmacdist import (
     symmetric_outer_bound,
     waterfill_oracle_rate,
 )
+from gmacdist.rd_bounds import waterfill_oracle_rates
 
 INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
 
@@ -142,3 +144,25 @@ def test_oracle_desk_values():
     assert waterfill_oracle_rate(c, DistortionPair(1.0, 1.0)) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         waterfill_oracle_rate(c, DistortionPair(0.0, 0.5))
+
+
+def test_batched_oracle_matches_single_targets_bitwise():
+    # criterion 1's grid: each target of a batch gets exactly the rate that
+    # a batch of that target alone gets
+    grid = np.linspace(0.05, 1.0, 20)
+    d1, d2 = (a.ravel() for a in np.meshgrid(grid, grid, indexing="ij"))
+    for rho in (0.0, 0.3, 0.5, 0.8, 0.95):
+        c = symmetric_instance(1.0, rho, 1.0, 1.0)
+        batch = waterfill_oracle_rates(c, d1, d2)
+        single = [waterfill_oracle_rate(c, DistortionPair(a, b))
+                  for a, b in zip(d1.tolist(), d2.tolist())]
+        assert batch.tolist() == single
+
+
+def test_batched_oracle_validation_and_convergence():
+    c = symmetric_instance(1.0, 0.5, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        waterfill_oracle_rates(c, [0.5, 0.0], [0.5, 0.5])
+    with pytest.raises(ConvergenceError):
+        waterfill_oracle_rates(c, [0.3, 0.5], [0.4, 0.5], max_iter=5)
+    assert waterfill_oracle_rates(c, [], []).shape == (0,)

@@ -3,17 +3,22 @@ import math
 import numpy as np
 import pytest
 
+import gmacdist.region as region
 from gmacdist import (
+    CanonicalInstance,
     DistortionPair,
     SweepRecord,
     Verdict,
     capacity_term,
     convexify,
+    in_rate_region,
+    make_rate_pair,
     snr_sweep,
     symmetric_instance,
     symmetric_outer_bound,
     trace_region_boundary,
     verdict,
+    vq_distortions,
 )
 
 INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
@@ -196,3 +201,70 @@ def test_boundary_resolution_stability():
 def test_boundary_rejects_tiny_resolution():
     with pytest.raises(ValueError):
         trace_region_boundary(INST, resolution=1)
+
+
+def _scalar_search(c, objective, grid=64, tol=1e-6):
+    """Reference rate search: one scalar evaluation per grid point, the
+    incumbent replaced on strictly smaller values."""
+    cap = region._rate_axis_cap(c)
+    axis = np.concatenate(([0.0], np.geomspace(1e-3, cap, grid - 1)))
+
+    def score(r1, r2):
+        rates = make_rate_pair(c, r1, r2)
+        if not in_rate_region(c, rates):
+            return math.inf
+        d = vq_distortions(c, rates)
+        return objective(d.d1, d.d2)
+
+    best = (0.0, 0.0, math.inf)
+    for r1 in axis.tolist():
+        for r2 in axis.tolist():
+            v = score(r1, r2)
+            if v < best[2]:
+                best = (r1, r2, v)
+    if not math.isfinite(best[2]):
+        return best
+    r1, r2, val = best
+    span = cap / 4.0
+    while span > tol / 2.0:
+        loc1 = np.linspace(max(0.0, r1 - span), min(cap, r1 + span), 13)
+        loc2 = np.linspace(max(0.0, r2 - span), min(cap, r2 + span), 13)
+        for a in loc1.tolist():
+            for b in loc2.tolist():
+                v = score(a, b)
+                if v < val:
+                    r1, r2, val = a, b, v
+        span /= 4.0
+    return r1, r2, val
+
+
+@pytest.mark.parametrize("c", [
+    symmetric_instance(1.0, 0.8, 10.0, 1.0),
+    CanonicalInstance(1.5, 0.7, 3.0, 0.8, 0.5),
+    symmetric_instance(1.0, 0.0, 1.0, 1.0),
+])
+def test_array_search_matches_scalar_reference(c):
+    d = DistortionPair(0.2, 0.15)
+
+    def ratio(d1, d2):
+        return max(d1 / d.d1, d2 / d.d2)
+
+    def capped(d1, d2):
+        return math.inf if d1 > 0.3 else d2
+
+    for scalar, array in (
+            (ratio, lambda d1, d2: np.maximum(d1 / d.d1, d2 / d.d2)),
+            (capped, lambda d1, d2: np.where(d1 > 0.3, math.inf, d2))):
+        assert region._search_rates(c, array) == _scalar_search(c, scalar)
+
+
+def test_search_with_nothing_feasible_returns_origin():
+    c = symmetric_instance(1.0, 0.5, 2.0, 3.0)
+    assert region._search_rates(c, lambda d1, d2: np.full_like(d1, math.nan)) == (
+        0.0, 0.0, math.inf)
+
+
+def test_rate_axis_cap_rejects_overflow():
+    assert math.isfinite(region._rate_axis_cap(symmetric_instance(1.0, 0.5, 1e300, 1.0)))
+    with pytest.raises(ValueError, match="overflows"):
+        region._rate_axis_cap(symmetric_instance(1.0, 0.5, 1e308, 1.0))

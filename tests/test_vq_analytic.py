@@ -16,6 +16,7 @@ from gmacdist import (
     vq_bound,
     vq_distortions,
 )
+from gmacdist.vq_analytic import distortion_grid
 
 
 def test_rho_tilde_values():
@@ -140,3 +141,32 @@ def test_scaled_distortion_approaches_asymptote():
         gaps.append(abs(math.sqrt(snr) * d - lim))
     assert gaps[0] > gaps[1] > gaps[2]
     assert gaps[2] < 0.02 * lim
+
+
+def test_distortion_grid_matches_scalar_forms():
+    # every cell is bitwise the scalar membership test and closed form
+    axis = np.concatenate(([0.0], np.geomspace(1e-3, 6.0, 23)))
+    for c in (symmetric_instance(1.0, 0.8, 10.0, 1.0),
+              CanonicalInstance(2.0, 0.35, 0.7, 4.0, 0.3),
+              symmetric_instance(1.0, 0.0, 1.0, 1.0)):
+        inside, d1, d2 = distortion_grid(c, axis, axis[::-1])
+        for i, r1 in enumerate(axis):
+            for j, r2 in enumerate(axis[::-1]):
+                rates = make_rate_pair(c, float(r1), float(r2))
+                d = vq_distortions(c, rates)
+                assert inside[i, j] == in_rate_region(c, rates)
+                assert (d1[i, j], d2[i, j]) == (d.d1, d.d2)
+
+
+def test_full_residual_correlation_is_rejected():
+    c = symmetric_instance(1.0, 1.0, 2.0, 1.0)
+    rates = make_rate_pair(c, 30.0, 30.0)
+    assert rates.rho_tilde == 1.0
+    for fn in (in_rate_region, vq_distortions):
+        with pytest.raises(ValueError, match="rounds to 1"):
+            fn(c, rates)
+    with pytest.raises(ValueError, match="rounds to 1"):
+        rate_region_limits(c, 1.0)
+    # the grid form marks such cells as outside instead
+    inside, _, _ = distortion_grid(c, np.array([0.5, 30.0]), np.array([0.5, 30.0]))
+    assert inside.tolist() == [[True, False], [False, False]]
