@@ -97,10 +97,11 @@ def rd_rate(c: CanonicalInstance, d: DistortionPair) -> float:
     else:
         gap = rho * s2 - math.sqrt((s2 - a) * (s2 - b))
         denom = a * b - gap * gap
-        if denom <= 0:
-            # numerically outside the regime; only reachable through
-            # rounding at the regime edges where the rate is that of the
-            # active component alone
+        if denom <= 0 or rho * rho == 1.0:
+            # numerically outside the regime, only reachable through
+            # rounding at the regime edges, or fully correlated sources
+            # (where the formula below takes log2(0)): either way the rate
+            # is that of the active component alone
             rate = 0.5 * math.log2(s2 / a)
         else:
             rate = 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / denom)

@@ -21,6 +21,16 @@ from .model import CanonicalInstance, derive_seed, sample_source_and_noise
 from .vq_analytic import RatePair, in_rate_region, rho_tilde
 
 MAX_CODEBOOK_BITS = 22
+# 2^22 words of 8 doubles
+MAX_CODEBOOK_BYTES = 256 << 20
+
+# decoder sizes: the strongest words per side that seed the incumbent, the
+# first words sorted before the scan order is first extended, the first
+# words in the first GEMM block, and the cap on one block's output
+_SEED_WORDS = 64
+_ORDER_BLOCK = 64
+_SCAN_ROWS = 8
+_SCAN_BLOCK_BYTES = 4 << 20
 
 _STREAM_TRIAL = 0
 _STREAM_CODEBOOK1 = 1
@@ -60,7 +70,9 @@ def generate_codebook(n: int, rate: float, sigma_sq: float, seed: int) -> Codebo
 
     Words are IID Gaussian vectors normalized onto the sphere of radius
     sqrt(n * sigma_sq * (1 - 2^-2rate)).  Rate zero yields the single
-    all-zero word.  Raises CodebookSizeError above 2^22 words.
+    all-zero word.  Raises CodebookSizeError, before allocating anything,
+    above 2^22 words or 256 MiB of words.  The draw is scaled onto the
+    sphere in place, so the codebook costs one (m, n) array.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
@@ -71,12 +83,19 @@ def generate_codebook(n: int, rate: float, sigma_sq: float, seed: int) -> Codebo
         raise CodebookSizeError(
             f"codebook needs {bits} bits per word, cap is {MAX_CODEBOOK_BITS}")
     m = 1 << bits
+    size = m * n * 8
+    if size > MAX_CODEBOOK_BYTES:
+        raise CodebookSizeError(
+            f"codebook needs {size >> 20} MiB per side, "
+            f"cap is {MAX_CODEBOOK_BYTES >> 20} MiB")
     radius = math.sqrt(n * sigma_sq * (1.0 - 2.0 ** (-2.0 * rate)))
     rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
     g = rng.standard_normal((m, n))
     norms = np.linalg.norm(g, axis=1, keepdims=True)
-    words = radius * g / norms
-    return Codebook(n=n, rate=rate, words=words, radius=radius)
+    # the operations of radius * g / norms, in the same order
+    g *= radius
+    g /= norms
+    return Codebook(n=n, rate=rate, words=g, radius=radius)
 
 
 def transmit_gain(power: float, sigma_sq: float, rate: float) -> float:
@@ -113,66 +132,106 @@ def _best_update(best, f, i1, i2):
     return best
 
 
-def _decode_bruteforce(w1, w2, a1, a2, b, two_a, glo, ghi):
-    """Reference search: evaluate every pair in the correlation window."""
+def _seed_incumbent(w1, w2, a1, a2, b, two_a, glo, ghi):
+    """Best in-window pair among the strongest words on each side.
+
+    Equal to feeding the block's in-window pairs through _best_update one by
+    one: the largest objective, exact ties going to the lowest (i1, i2).
+    """
     m1, m2 = len(a1), len(a2)
-    block = max(1, (1 << 22) // max(m2, 1))
-    best = None
-    for i0 in range(0, m1, block):
-        g = w1[i0:i0 + block] @ w2.T
-        den_sq = b + two_a * g
-        with np.errstate(divide="ignore", invalid="ignore"):
-            f = (a1[i0:i0 + block, None] + a2[None, :]) / np.sqrt(den_sq)
-        f[(g < glo) | (g > ghi) | (den_sq <= 0)] = -np.inf
-        k = int(np.argmax(f))
-        fk = float(f.flat[k])
-        if fk > -np.inf:
-            best = _best_update(best, fk, i0 + k // m2, k % m2)
-    return best
+    k1 = min(_SEED_WORDS, m1)
+    k2 = min(_SEED_WORDS, m2)
+    top1 = np.argpartition(-a1, k1 - 1)[:k1] if k1 < m1 else np.arange(m1)
+    top2 = np.argpartition(-a2, k2 - 1)[:k2] if k2 < m2 else np.arange(m2)
+    gblk = w1[top1] @ w2[top2].T
+    ii, jj = np.nonzero((gblk >= glo) & (gblk <= ghi))
+    if not ii.size:
+        return None
+    fblk = (a1[top1[ii]] + a2[top2[jj]]) / np.sqrt(b + two_a * gblk[ii, jj])
+    fmax = fblk.max()
+    tied = np.flatnonzero(fblk == fmax)
+    i1, i2 = top1[ii[tied]], top2[jj[tied]]
+    t = np.lexsort((i2, i1))[0]
+    return (float(fmax), int(i1[t]), int(i2[t]))
+
+
+def _descending_prefix(key, k):
+    """The first k entries of np.argsort(key, kind="stable").
+
+    Partitions at position k - 1 and sorts only the keys at or below that
+    threshold, so every tie at the boundary takes part and the prefix keeps
+    the stable order.  NaN keys fail both comparisons, sort last and so
+    never displace a finite one.
+    """
+    if k >= len(key):
+        return np.argsort(key, kind="stable")
+    kth = np.partition(key, k - 1)[k - 1]
+    cand = np.flatnonzero(~(key > kth))
+    return cand[np.argsort(key[cand], kind="stable")][:k]
 
 
 def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
     """Exact search over the correlation window without forming all pairs.
 
-    Candidates are visited in decreasing order of their first-word channel
-    correlation a1; once no remaining first word can beat the incumbent even
-    with the most favorable second word and denominator, the scan stops.
+    The incumbent is seeded from the strongest words on each side.  First
+    words are then visited in decreasing order of their channel correlation
+    a1 (stable, so ties go to the lower index); once no remaining first word
+    can beat the incumbent even with the most favorable second word and
+    denominator, the scan stops.  Only the visited prefix of that order is
+    sorted, extended by doubling as needed.
+
+    The visited words' correlations come from one GEMM per block of rows,
+    written into one buffer: _SCAN_ROWS rows at first, then doubling while a
+    block stays under _SCAN_BLOCK_BYTES.  Each GEMM covers only the second
+    words whose bound, paired with the block's first row, reaches the
+    incumbent; the others cannot reach it from any row of the block.  A
+    GEMM entry may differ from the single-word product in the last bit.
+    Returns (objective, i1, i2), or None when no pair lies in the window.
     """
     m1, m2 = len(a1), len(a2)
     den_min = math.sqrt(max(b + two_a * glo, 0.0))
     den_max = math.sqrt(max(b + two_a * ghi, 0.0))
-    a2max = float(a2.max())
+    a2max = a2.max()
 
-    best = None
-    # seed the incumbent from the strongest few words on each side
-    k1 = min(64, m1)
-    k2 = min(64, m2)
-    top1 = np.argpartition(-a1, k1 - 1)[:k1] if k1 < m1 else np.arange(m1)
-    top2 = np.argpartition(-a2, k2 - 1)[:k2] if k2 < m2 else np.arange(m2)
-    gblk = w1[top1] @ w2[top2].T
-    mask = (gblk >= glo) & (gblk <= ghi)
-    if mask.any():
-        ii, jj = np.nonzero(mask)
-        fblk = (a1[top1[ii]] + a2[top2[jj]]) / np.sqrt(b + two_a * gblk[ii, jj])
-        for t in range(len(fblk)):
-            best = _best_update(best, float(fblk[t]), int(top1[ii[t]]), int(top2[jj[t]]))
+    def bound(num):
+        # the largest objective an in-window pair with this numerator reaches
+        hi = num / den_min if den_min > 0 else np.inf
+        lo = num / den_max if den_max > 0 else 0.0
+        return np.where(num > 0, hi, lo)
 
-    order = np.argsort(-a1, kind="stable")
-    for p in order:
-        num_ub = a1[p] + a2max
-        if best is not None:
-            if num_ub > 0:
-                ub = num_ub / den_min if den_min > 0 else math.inf
-            else:
-                ub = num_ub / den_max if den_max > 0 else 0.0
-            if ub < best[0]:
+    best = _seed_incumbent(w1, w2, a1, a2, b, two_a, glo, ghi)
+    key = -a1
+    order = _descending_prefix(key, _ORDER_BLOCK)
+    cap = max(1, _SCAN_BLOCK_BYTES // (8 * m2))
+    buf = np.empty(min(cap, m1) * m2)
+    rows = min(_SCAN_ROWS, cap)
+    pos = 0
+    while pos < m1:
+        if pos + rows > len(order):
+            order = _descending_prefix(key, max(2 * len(order), pos + rows))
+        blk = order[pos:pos + rows]
+        if best is None:
+            cols = np.arange(m2)
+            w2c = w2
+        else:
+            # a1 falls along the order, so the first row bounds the block
+            cols = np.flatnonzero(bound(a1[blk[0]] + a2) >= best[0])
+            if not cols.size:
                 break
-        g = w2 @ w1[p]
-        sel = np.flatnonzero((g >= glo) & (g <= ghi))
-        if sel.size:
-            f = (a1[p] + a2[sel]) / np.sqrt(b + two_a * g[sel])
-            k = int(np.argmax(f))
-            best = _best_update(best, float(f[k]), int(p), int(sel[k]))
+            w2c = w2[cols]
+        a2c = a2[cols]
+        gram = buf[:len(blk) * len(cols)].reshape(len(blk), len(cols))
+        np.matmul(w1[blk], w2c.T, out=gram)
+        for p, g in zip(blk, gram):
+            if best is not None and bound(a1[p] + a2max) < best[0]:
+                return best
+            sel = np.flatnonzero((g >= glo) & (g <= ghi))
+            if sel.size:
+                f = (a1[p] + a2c[sel]) / np.sqrt(b + two_a * g[sel])
+                k = int(np.argmax(f))
+                best = _best_update(best, float(f[k]), int(p), int(cols[sel[k]]))
+        pos += len(blk)
+        rows = min(2 * rows, cap)
     return best
 
 
@@ -199,7 +258,7 @@ def decode(cb1: Codebook, cb2: Codebook, y: np.ndarray, rho_t: float,
     best = _decode_pruned(cb1.words, cb2.words, a1, a2, b, two_a, glo, ghi)
     if best is not None:
         return DecodeResult(best[1], best[2], False)
-    best = _decode_bruteforce(cb1.words, cb2.words, a1, a2, b, two_a, -rr, rr)
+    best = _decode_pruned(cb1.words, cb2.words, a1, a2, b, two_a, -rr, rr)
     return DecodeResult(best[1], best[2], True)
 
 

@@ -6,11 +6,14 @@ a failure names the criterion and carries its detail line.
 """
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from gmacdist import format_report, run_all
 from gmacdist.acceptance import DEFAULT_SEED
+
+GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / "verify-seed7.txt"
 
 
 @pytest.fixture(scope="module")
@@ -38,6 +41,7 @@ def test_verify_reports_are_byte_identical_across_threads():
         assert proc.returncode == 0, proc.stdout.decode() + proc.stderr.decode()
         outs.append(proc.stdout)
     assert outs[0] == outs[1]
+    assert outs[0] == GOLDEN_REPORT.read_bytes()
 
 
 def test_report_format_is_stable(results):

@@ -350,3 +350,25 @@ def test_verify_timings_go_to_stderr(capsys):
     lines = err.strip().split("\n")
     assert [line.split(":")[0] for line in lines] == ["criterion 2", "criterion 3"]
     assert all(line.endswith(" s") for line in lines)
+
+
+@pytest.mark.parametrize("rho", ["1", "-1"])
+def test_bounds_full_correlation_small_targets(capsys, rho):
+    # equal small targets at |rho| = 1 once took log2(0) in the
+    # intermediate regime; the rate is the active component's alone
+    code, out, err = run_cli(capsys, "bounds", "--sigma2", "1", "--rho", rho,
+                             "--p", "1", "--d1", "1e-9", "--d2", "1e-9")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    check_schema(doc, "bounds")
+    assert doc["rd_rate"] == 0.5 * math.log2(1.0 / 1e-9)
+    assert doc["verdict"] == "UNACHIEVABLE"
+
+
+def test_simulate_vq_oversized_codebook_exits_1(capsys):
+    # 22 bits per word at n=64 is 2 GiB per side: refused before drawing it
+    code, out, err = run_cli(capsys, "simulate-vq", "--rho", "0.5", "--p", "2",
+                             "--r1", "0.34375", "--r2", "0.34375", "-n", "64",
+                             "--trials", "1")
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "MiB" in err

@@ -1,8 +1,10 @@
 """Golden CLI documents: each case's stdout must match its file byte for byte.
 
 The files under tests/golden/ pin the exact output of the analytic path
-(converse, verdict search, quantizer bound, boundary trace).  To write them
-afresh from the current source tree:
+(converse, verdict search, quantizer bound, boundary trace), of the
+quantizer simulation at one and at four threads, and of the simulation
+criteria of the acceptance report.  To write them afresh from the current
+source tree:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -40,6 +42,27 @@ CASES = {
                                  "--format", "json"),
 }
 
+# simulation documents, each rendered at --threads 1 and --threads 4
+SIM = ("simulate-vq", "--seed", "7")
+SIM_CASES = {
+    # the README example at 60 trials
+    "simulate-vq-n24.json": (*SIM, *VQ, "--r1", "0.5", "--r2", "0.5", "-n", "24",
+                             "--trials", "60", "--delta-typ", "0.4"),
+    # 2^16 words per side
+    "simulate-vq-n32.json": (*SIM, *VQ, "--r1", "0.5", "--r2", "0.5", "-n", "32",
+                             "--trials", "12", "--delta-typ", "0.4"),
+    "simulate-vq-asym.json": (*SIM, *ASYM, "--r1", "0.9", "--r2", "0.3", "-n", "16",
+                              "--trials", "40", "--delta-typ", "0.3"),
+    # every pair lies outside the window, so each trial takes the fallback
+    "simulate-vq-fallback.json": (*SIM, *VQ, "--r1", "0.5", "--r2", "0.5", "-n", "4",
+                                  "--trials", "40", "--delta-typ", "0.05"),
+}
+
+# the simulation criteria of the acceptance report; the whole report is
+# pinned by tests/test_acceptance.py
+VERIFY_CASE = ("verify-seed7-criteria-8-9.txt",
+               ("verify", "--seed", "7", "--criteria", "8,9"))
+
 
 def render(argv) -> str:
     out = io.StringIO()
@@ -54,8 +77,20 @@ def test_cli_document_matches_golden(name):
     assert render(CASES[name]) == (GOLDEN / name).read_text()
 
 
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("name", sorted(SIM_CASES))
+def test_simulation_document_matches_golden(name, threads):
+    argv = (*SIM_CASES[name], "--threads", threads)
+    assert render(argv) == (GOLDEN / name).read_text()
+
+
+def test_verify_simulation_criteria_match_golden():
+    name, argv = VERIFY_CASE
+    assert render(argv) == (GOLDEN / name).read_text()
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
-    for name, argv in CASES.items():
+    for name, argv in [*CASES.items(), *SIM_CASES.items(), VERIFY_CASE]:
         (GOLDEN / name).write_text(render(argv))
         print(name, file=sys.stderr)

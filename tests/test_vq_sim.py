@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,7 +15,14 @@ from gmacdist import (
     symmetric_instance,
     transmit_gain,
 )
-from gmacdist.vq_sim import _channel_gain, _decode_bruteforce, _decode_pruned
+from gmacdist import vq_sim
+from gmacdist.vq_sim import (
+    _best_update,
+    _channel_gain,
+    _decode_pruned,
+    _descending_prefix,
+    _seed_incumbent,
+)
 
 
 def _random_setup(seed, n=8, bits1=4, bits2=5):
@@ -30,6 +38,53 @@ def _decode_args(cb1, cb2, y, alpha1, alpha2):
     a2 = alpha2 * (cb2.words @ y)
     b = (alpha1 * cb1.radius) ** 2 + (alpha2 * cb2.radius) ** 2
     return a1, a2, b, 2.0 * alpha1 * alpha2
+
+
+def _decode_bruteforce(w1, w2, a1, a2, b, two_a, glo, ghi):
+    """Reference search: evaluate every pair in the correlation window."""
+    m1, m2 = len(a1), len(a2)
+    block = max(1, (1 << 22) // max(m2, 1))
+    best = None
+    for i0 in range(0, m1, block):
+        g = w1[i0:i0 + block] @ w2.T
+        den_sq = b + two_a * g
+        with np.errstate(divide="ignore", invalid="ignore"):
+            f = (a1[i0:i0 + block, None] + a2[None, :]) / np.sqrt(den_sq)
+        f[(g < glo) | (g > ghi) | (den_sq <= 0)] = -np.inf
+        k = int(np.argmax(f))
+        fk = float(f.flat[k])
+        if fk > -np.inf:
+            best = _best_update(best, fk, i0 + k // m2, k % m2)
+    return best
+
+
+def _tied_setup(seed, m1=150, m2=120, n=6, distinct=12):
+    """Integer words drawn from a small pool, so many pairs tie exactly.
+
+    Every inner product is a small integer and therefore exact in any
+    summation order; duplicated words make whole rows and columns tie.
+    """
+    rng = np.random.default_rng(seed)
+    pool1 = rng.integers(-2, 3, size=(distinct, n)).astype(float)
+    pool2 = rng.integers(-2, 3, size=(distinct, n)).astype(float)
+    w1 = pool1[rng.integers(0, distinct, size=m1)]
+    w2 = pool2[rng.integers(0, distinct, size=m2)]
+    y = rng.integers(-3, 4, size=n).astype(float)
+    rr = float(np.abs(w1 @ w2.T).max()) + 1.0
+    b = 2.0 * rr
+    return w1, w2, w1 @ y, w2 @ y, b, 1.0, rr
+
+
+def _scan_block_sizes(monkeypatch):
+    """Yield twice: with the library's block sizes, then with a seed block
+    small enough to leave the scan real work and blocks small enough that
+    the order is extended and the row blocks double and hit their cap."""
+    yield
+    monkeypatch.setattr(vq_sim, "_SEED_WORDS", 2)
+    monkeypatch.setattr(vq_sim, "_ORDER_BLOCK", 3)
+    monkeypatch.setattr(vq_sim, "_SCAN_ROWS", 2)
+    monkeypatch.setattr(vq_sim, "_SCAN_BLOCK_BYTES", 8 * 5 * 32)
+    yield
 
 
 def test_codebook_geometry():
@@ -58,6 +113,18 @@ def test_codebook_zero_rate():
 def test_codebook_size_cap():
     with pytest.raises(CodebookSizeError):
         generate_codebook(64, 0.5, 1.0, 0)
+
+
+def test_codebook_byte_cap_rejects_before_allocating():
+    # 22 bits is within the bit cap, but 2^22 words of 64 doubles is 2 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(CodebookSizeError, match="MiB"):
+            generate_codebook(64, 22 / 64, 1.0, 0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_codebook_determinism():
@@ -138,7 +205,8 @@ def test_reconstruction_solves_normal_equations():
     assert beta2 * cov + gamma2 * v2 == pytest.approx(sigma_sq * e2, rel=1e-12)
 
 
-def test_pruned_decoder_matches_bruteforce():
+def test_pruned_decoder_matches_bruteforce(monkeypatch):
+    cases = []
     for seed in range(25):
         cb1, cb2, y = _random_setup(seed)
         alpha1 = 1.3 * _channel_gain(cb1, 1.0)
@@ -146,13 +214,80 @@ def test_pruned_decoder_matches_bruteforce():
         a1, a2, b, two_a = _decode_args(cb1, cb2, y, alpha1, alpha2)
         rr = cb1.radius * cb2.radius
         for lo, hi in ((-rr, rr), (0.1 * rr, 0.4 * rr), (-0.2 * rr, 0.05 * rr)):
-            got = _decode_pruned(cb1.words, cb2.words, a1, a2, b, two_a, lo, hi)
-            want = _decode_bruteforce(cb1.words, cb2.words, a1, a2, b, two_a, lo, hi)
+            args = (cb1.words, cb2.words, a1, a2, b, two_a, lo, hi)
+            cases.append((args, _decode_bruteforce(*args)))
+    for seed in range(20):
+        w1, w2, a1, a2, b, two_a, rr = _tied_setup(seed)
+        # shifted down, every objective is negative and the bounds divide
+        # by the largest denominator instead of the smallest
+        for s1, s2 in ((a1, a2), (a1 - a1.max() - 1.0, a2 - a2.max() - 1.0)):
+            for lo, hi in ((-rr, rr), (0.0, 3.0), (-4.0, -1.0)):
+                args = (w1, w2, s1, s2, b, two_a, lo, hi)
+                cases.append((args, _decode_bruteforce(*args)))
+    for _ in _scan_block_sizes(monkeypatch):
+        for args, want in cases:
+            got = _decode_pruned(*args)
             if want is None:
                 assert got is None
             else:
                 assert got[1:] == want[1:]
                 assert got[0] == pytest.approx(want[0], rel=1e-9)
+
+
+def test_seed_incumbent_matches_scalar_loop():
+    def scalar(w1, w2, a1, a2, b, two_a, glo, ghi):
+        k1, k2 = min(64, len(a1)), min(64, len(a2))
+        top1 = np.argpartition(-a1, k1 - 1)[:k1] if k1 < len(a1) else np.arange(len(a1))
+        top2 = np.argpartition(-a2, k2 - 1)[:k2] if k2 < len(a2) else np.arange(len(a2))
+        best = None
+        for i in top1:
+            for j in top2:
+                g = w1[i] @ w2[j]
+                if glo <= g <= ghi:
+                    f = (a1[i] + a2[j]) / np.sqrt(b + two_a * g)
+                    best = _best_update(best, float(f), int(i), int(j))
+        return best
+
+    cases = [_tied_setup(seed) for seed in range(10)]
+    for seed in range(10):
+        cb1, cb2, y = _random_setup(seed, n=10, bits1=7, bits2=8)
+        a1, a2, b, two_a = _decode_args(cb1, cb2, y, 1.2, 0.7)
+        cases.append((cb1.words, cb2.words, a1, a2, b, two_a, cb1.radius * cb2.radius))
+    for w1, w2, a1, a2, b, two_a, rr in cases:
+        for lo, hi in ((-rr, rr), (0.1 * rr, 0.4 * rr), (2 * rr, 3 * rr)):
+            got = _seed_incumbent(w1, w2, a1, a2, b, two_a, lo, hi)
+            assert got == scalar(w1, w2, a1, a2, b, two_a, lo, hi)
+
+
+def test_descending_prefix_matches_stable_argsort():
+    rng = np.random.default_rng(3)
+    keys = [
+        rng.integers(0, 5, size=200).astype(float),   # long runs of ties
+        rng.standard_normal(300),
+        np.zeros(50),
+        np.array([1.0, np.nan, -2.0, 1.0, np.nan, 0.0, -2.0, 1.0]),
+    ]
+    for key in keys:
+        full = np.argsort(key, kind="stable")
+        for k in (1, 2, 3, 7, 40, 64, len(key) - 1, len(key), len(key) + 5):
+            assert np.array_equal(_descending_prefix(key, k), full[:k])
+
+
+def test_scan_blocks_stay_under_cap():
+    # an empty window makes the scan visit every first word; the doubling
+    # blocks must stop growing at the cap
+    cb1 = generate_codebook(8, 1.5, 1.0, 1)
+    cb2 = generate_codebook(8, 1.5, 1.0, 2)
+    a1, a2, b, two_a = _decode_args(cb1, cb2, np.ones(8), 1.0, 1.0)
+    rr = cb1.radius * cb2.radius
+    tracemalloc.start()
+    try:
+        got = _decode_pruned(cb1.words, cb2.words, a1, a2, b, two_a, 2 * rr, 3 * rr)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got is None
+    assert peak < vq_sim._SCAN_BLOCK_BYTES + (1 << 20)
 
 
 def test_decode_recovers_noiseless_sum():
