@@ -9,6 +9,7 @@ goes to stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -346,13 +347,18 @@ def _cmd_verify(args) -> int:
     return 0 if all(r.passed for r in results) else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process.
+
+    --seed defaults to None; main() fills in GMACDIST_SEED (read on every
+    call) or DEFAULT_SEED.
+    """
     parser = _Parser(prog="gmacdist",
                      description="Distortion bounds and simulations for "
                                  "correlated Gaussian sources on a two-user "
                                  "Gaussian multiple-access channel.")
     sub = parser.add_subparsers(dest="command", required=True)
-    seed_default = _default_seed()
 
     sp = sub.add_parser("bounds", help="converse check and verdict for a "
                                        "distortion target")
@@ -370,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate-uncoded", help="Monte Carlo uncoded run")
     _add_instance_flags(sp)
     sp.add_argument("--trials", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=seed_default)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--threads", type=int, default=1)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_simulate_uncoded)
@@ -390,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--delta-typ", type=float, default=0.05,
                     help="half-width of the codeword correlation window")
-    sp.add_argument("--seed", type=int, default=seed_default)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--threads", type=int, default=1)
     _add_output_flags(sp)
     sp.set_defaults(handler=_cmd_simulate_vq)
@@ -410,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(handler=_cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the acceptance checks")
-    sp.add_argument("--seed", type=int, default=seed_default)
+    sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--threads", type=int, default=1)
     sp.add_argument("--criteria", default=None,
                     help="comma-separated criterion numbers (default: all)")
@@ -424,8 +430,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        seed = _default_seed()
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) is None:
+            args.seed = seed
         if getattr(args, "threads", 1) < 1:
             raise CliError("--threads must be at least 1")
         if getattr(args, "trials", 1) < 1:

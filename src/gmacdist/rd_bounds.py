@@ -205,17 +205,76 @@ def _theta_star(t, w_hi, w_lo, lam_lo, k_diag):
     return np.where(t >= k_diag, np.inf, out)
 
 
+def _component_rate(sigma_sq: float, rho: float, d1: float, d2: float,
+                    cs: float) -> float:
+    """_component_rates for one scaling, on Python floats.
+
+    Bitwise equal to the array form: the arithmetic is the same correctly
+    rounded + - * / and sqrt in the same order, the transcendentals go
+    through numpy, and the branches pick what np.where, np.minimum and
+    np.fmax pick, NaN included.
+    """
+    k11 = sigma_sq
+    cs2 = cs * cs
+    k22 = cs2 * sigma_sq
+    k12 = cs * rho * sigma_sq
+    k12_sq = k12 * k12
+    tr = k11 + k22
+    dk = k11 - k22
+    disc = math.sqrt(dk * dk + 4.0 * k12 * k12)
+    lam_hi = 0.5 * (tr + disc)
+    det = k22 * sigma_sq * (1.0 - rho * rho)
+    lam_lo = _divide(det, lam_hi)
+    dif = lam_hi - k11
+    wden = k12_sq + dif * dif
+    w = k12_sq / wden if wden > 0 else 1.0
+
+    w_lo = 1.0 - w
+    th1 = _theta_star_scalar(d1, w, w_lo, lam_lo, k11)
+    th2 = _theta_star_scalar(cs2 * d2, w_lo, 1.0 - w_lo, lam_lo, k22)
+    # np.minimum: NaN wins
+    theta = th1 if th1 <= th2 or th1 != th1 else th2
+    return _half_log2_ratio(lam_hi, theta) + _half_log2_ratio(lam_lo, theta)
+
+
+def _theta_star_scalar(t, w_hi, w_lo, lam_lo, k_diag):
+    """_theta_star on Python floats."""
+    if t >= k_diag:
+        return math.inf
+    if t <= lam_lo:
+        return t
+    return (t - w_lo * lam_lo) / (w_hi if w_hi > 0 else 1.0)
+
+
+def _divide(a: float, b: float) -> float:
+    """a / b, with numpy's inf/NaN in place of ZeroDivisionError."""
+    if b:
+        return a / b
+    with np.errstate(all="ignore"):
+        return float(np.float64(a) / b)
+
+
+def _half_log2_ratio(lam: float, theta: float) -> float:
+    """max(0.5*log2(lam/theta), 0) as np.fmax takes it, NaN mapping to 0."""
+    q = _divide(lam, theta)
+    # log2 is positive exactly above 1; NaN fails the test as well
+    if not q > 1.0:
+        return 0.0
+    return 0.5 * float(np.log2(q))
+
+
 def waterfill_oracle_rates(c: CanonicalInstance, d1, d2,
                            tolerance: float = 1e-9, max_iter: int = 200) -> np.ndarray:
     """Minimal description rates via scaling plus reverse waterfilling, for
     a batch of targets (d1[k], d2[k]).
 
-    Independent of the closed-form rate formula.  For each target, scans
-    scalings of the second component on a log grid over [-8, 8] and refines
-    the best cell by golden-section search; the targets advance in lockstep,
-    each stopping once its own bracket is narrower than 1e-12.  Every entry
-    is bitwise what a batch of that target alone returns.  Raises
-    ConvergenceError if some bracket fails to shrink within max_iter steps.
+    Independent of the closed-form rate formula.  Scans scalings of the
+    second component on a log grid over [-8, 8] for the whole batch in one
+    array pass, then refines each target's best cell on its own by
+    golden-section search on Python floats, stopping once its bracket is
+    narrower than 1e-12.  Every entry is bitwise what a batch of that
+    target alone returns.  Raises ConvergenceError if some bracket fails to
+    shrink within max_iter steps.
     """
     d1 = np.asarray(d1, dtype=float).ravel()
     d2 = np.asarray(d2, dtype=float).ravel()
@@ -227,53 +286,54 @@ def waterfill_oracle_rates(c: CanonicalInstance, d1, d2,
         return _golden_section(c, d1, d2, tolerance, max_iter)
 
 
-def _golden_section(c, d1, d2, tolerance, max_iter):
-    def f(logc, t1, t2):
-        return _component_rates(c.sigma_sq, c.rho, t1, t2, np.exp(logc))
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+
+def _golden_section(c, d1, d2, tolerance, max_iter):
     grid = np.linspace(_LOGC_LO, _LOGC_HI, 257)
-    rates = f(grid, d1[:, None], d2[:, None])
+    rates = _component_rates(c.sigma_sq, c.rho, d1[:, None], d2[:, None],
+                             np.exp(grid))
     i = np.argmin(rates, axis=1)
     best = rates[np.arange(d1.size), i]
-
     lo = grid[np.maximum(i - 1, 0)]
     hi = grid[np.minimum(i + 1, len(grid) - 1)]
+    return np.array([
+        _refine(c.sigma_sq, c.rho, *args, tolerance, max_iter)
+        for args in zip(d1.tolist(), d2.tolist(), lo.tolist(), hi.tolist(),
+                        best.tolist())], dtype=float)
 
-    invphi = (math.sqrt(5.0) - 1.0) / 2.0
-    x1 = hi - invphi * (hi - lo)
-    x2 = lo + invphi * (hi - lo)
-    f1, f2 = f(x1, d1, d2), f(x2, d1, d2)
-    # targets whose bracket has closed leave the batch; their last probe
-    # values stay behind at their batch positions
-    pos = np.arange(d1.size)
-    end1, end2 = np.empty_like(f1), np.empty_like(f2)
+
+def _refine(sigma_sq, rho, t1, t2, lo, hi, best, tolerance, max_iter):
+    """Golden-section refinement of one target's scan cell [lo, hi]."""
+    def f(logc):
+        return _component_rate(sigma_sq, rho, t1, t2, float(np.exp(logc)))
+
+    x1 = hi - _INVPHI * (hi - lo)
+    x2 = lo + _INVPHI * (hi - lo)
+    f1, f2 = f(x1), f(x2)
     span = hi - lo
     for _ in range(max_iter):
-        closed = span < 1e-12
-        if closed.any():
-            end1[pos], end2[pos] = f1, f2
-            live = ~closed
-            pos, lo, hi, span, x1, x2, f1, f2, d1, d2 = (
-                a[live] for a in (pos, lo, hi, span, x1, x2, f1, f2, d1, d2))
-            if not pos.size:
-                break
-        # keep the side of the lower probe; f1 <= f2 settles ties and NaNs
-        # exactly as a scalar comparison would
-        left = f1 <= f2
-        hi, lo = np.where(left, x2, hi), np.where(left, lo, x1)
-        span = hi - lo
-        width = invphi * span
-        x1, x2 = np.where(left, hi - width, x2), np.where(left, x1, lo + width)
-        fx = f(np.where(left, x1, x2), d1, d2)
-        f1, f2 = np.where(left, fx, f2), np.where(left, f1, fx)
+        if span < 1e-12:
+            break
+        # keep the side of the lower probe; a NaN probe compares false and
+        # moves the bracket right
+        if f1 <= f2:
+            hi = x2
+            span = hi - lo
+            x1, x2 = hi - _INVPHI * span, x1
+            f1, f2 = f(x1), f1
+        else:
+            lo = x1
+            span = hi - lo
+            x1, x2 = x2, lo + _INVPHI * span
+            f1, f2 = f2, f(x2)
     else:
-        if np.any(span > max(tolerance, 1e-6)):
+        if span > max(tolerance, 1e-6):
             raise ConvergenceError("scaling search did not converge")
-        end1[pos], end2[pos] = f1, f2
     # min(best, f1, f2) as Python's min takes it: a later value replaces an
     # earlier one only if strictly smaller
-    out = np.where(end1 < best, end1, best)
-    return np.where(end2 < out, end2, out)
+    out = f1 if f1 < best else best
+    return f2 if f2 < out else out
 
 
 def waterfill_oracle_rate(c: CanonicalInstance, d: DistortionPair,

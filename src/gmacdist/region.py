@@ -92,14 +92,14 @@ def _rate_axis_cap(c: CanonicalInstance) -> float:
     return max(cap + 3.0, 2.0)
 
 
-def _best_in_window(c: CanonicalInstance, objective, axis1, axis2):
+def _best_in_window(objective, axis1, axis2, scored):
     """Smallest objective over the grid axis1 x axis2, as (r1, r2, value).
 
-    Cells outside the region and NaN objectives score +inf.  argmin takes
-    the first minimum in row-major order, the cell a strict-< scan with r1
-    in the outer loop would keep.
+    scored is distortion_grid over that grid.  Cells outside the region and
+    NaN objectives score +inf.  argmin takes the first minimum in row-major
+    order, the cell a strict-< scan with r1 in the outer loop would keep.
     """
-    inside, d1, d2 = distortion_grid(c, axis1, axis2)
+    inside, d1, d2 = scored
     with np.errstate(all="ignore"):
         val = objective(d1, d2)
     val = np.where(inside & ~np.isnan(val), val, math.inf)
@@ -108,10 +108,20 @@ def _best_in_window(c: CanonicalInstance, objective, axis1, axis2):
     return float(axis1[i]), float(axis2[j]), float(val[i, j])
 
 
-def _search_rates(c: CanonicalInstance, objective, grid: int = 64, tol: float = 1e-6):
+def _coarse_grid(c: CanonicalInstance, grid: int = 64):
+    """The search's coarse grid as (cap, axis, scored): the rate-axis cap,
+    a log-spaced axis with zero rate included, and distortion_grid over
+    axis x axis.  It depends on the instance alone, so a caller with many
+    objectives scores it once."""
+    cap = _rate_axis_cap(c)
+    axis = np.concatenate(([0.0], np.geomspace(1e-3, cap, grid - 1)))
+    return cap, axis, distortion_grid(c, axis, axis)
+
+
+def _search_rates(c: CanonicalInstance, objective, coarse=None, tol: float = 1e-6):
     """Minimize an objective over the decodable rate region.
 
-    Coarse log-spaced grid (zero rate included on each axis) followed by
+    Coarse log-spaced grid (_coarse_grid(c) unless given) followed by
     repeatedly zooming a 13 x 13 grid onto the incumbent; the window shrinks
     slower than its own spacing, so ridge minima that need simultaneous
     moves of both rates stay inside it.  Each grid is scored in one pass:
@@ -120,9 +130,8 @@ def _search_rates(c: CanonicalInstance, objective, grid: int = 64, tol: float = 
     A window's best point replaces the incumbent only if strictly smaller.
     Returns (r1, r2, value); value is +inf if nothing was feasible.
     """
-    cap = _rate_axis_cap(c)
-    axis = np.concatenate(([0.0], np.geomspace(1e-3, cap, grid - 1)))
-    r1, r2, val = _best_in_window(c, objective, axis, axis)
+    cap, axis, scored = _coarse_grid(c) if coarse is None else coarse
+    r1, r2, val = _best_in_window(objective, axis, axis, scored)
     if not math.isfinite(val):
         return 0.0, 0.0, math.inf
 
@@ -130,7 +139,8 @@ def _search_rates(c: CanonicalInstance, objective, grid: int = 64, tol: float = 
     while span > tol / 2.0:
         loc1 = np.linspace(max(0.0, r1 - span), min(cap, r1 + span), 13)
         loc2 = np.linspace(max(0.0, r2 - span), min(cap, r2 + span), 13)
-        a, b, v = _best_in_window(c, objective, loc1, loc2)
+        a, b, v = _best_in_window(objective, loc1, loc2,
+                                  distortion_grid(c, loc1, loc2))
         if v < val:
             r1, r2, val = a, b, v
         span /= 4.0
@@ -278,6 +288,7 @@ def trace_region_boundary(c: CanonicalInstance, resolution: int = 64) -> list:
         raise ValueError("resolution must be at least 2")
     cap = capacity_term(c)
     unc = uncoded_distortions(c)
+    coarse = _coarse_grid(c)
     points = []
     for d1 in np.geomspace(1e-4 * c.sigma_sq, c.sigma_sq, resolution):
         d1 = float(d1)
@@ -287,7 +298,7 @@ def trace_region_boundary(c: CanonicalInstance, resolution: int = 64) -> list:
         def objective(vq_d1, vq_d2):
             return np.where(vq_d1 > d1 * (1.0 + _REL_TOL), math.inf, vq_d2)
 
-        _, _, vq_d2 = _search_rates(c, objective)
+        _, _, vq_d2 = _search_rates(c, objective, coarse)
         points.append(BoundaryPoint(d1=d1, outer_d2=outer_d2,
                                     uncoded_d2=unc_d2,
                                     vq_d2=vq_d2 if math.isfinite(vq_d2) else math.nan))

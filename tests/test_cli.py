@@ -96,6 +96,37 @@ def test_seed_env_var(capsys, monkeypatch):
     assert "GMACDIST_SEED" in err
 
 
+def test_seed_env_var_is_read_on_every_call(capsys, monkeypatch):
+    # the parser is built once per process; its --seed default must not
+    # freeze the first call's environment
+    seeds = []
+    for raw in ("123", "456"):
+        monkeypatch.setenv("GMACDIST_SEED", raw)
+        code, out, _ = run_cli(capsys, "simulate-uncoded", *SYM, "--trials", "100")
+        assert code == 0
+        seeds.append(json.loads(out)["seed"])
+    assert seeds == [123, 456]
+    code, out, _ = run_cli(capsys, "simulate-uncoded", *SYM, "--trials", "100",
+                           "--seed", "7")
+    assert code == 0
+    assert json.loads(out)["seed"] == 7
+    monkeypatch.delenv("GMACDIST_SEED")
+    code, out, _ = run_cli(capsys, "simulate-uncoded", *SYM, "--trials", "100")
+    assert code == 0
+    assert json.loads(out)["seed"] == cli.DEFAULT_SEED
+
+    monkeypatch.setenv("GMACDIST_SEED", "xyz")
+    for argv in (["bounds", *SYM, "--d1", "0.5", "--d2", "0.5"],
+                 ["uncoded", *SYM], ["vq-bound", *SYM],
+                 ["simulate-uncoded", *SYM, "--seed", "7"],
+                 ["simulate-vq", *SYM, "--r1", "0.5", "--r2", "0.5", "-n", "4"],
+                 ["sweep", "--rho", "0.5", "--snr-grid", "1:10:3:log"],
+                 ["verify", "--criteria", "9"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert "GMACDIST_SEED" in err
+
+
 def test_vq_bound_pair_mode(capsys):
     code, out, _ = run_cli(capsys, "vq-bound", "--sigma2", "1", "--rho", "0",
                            "--p", "1", "--noise", "1", "--r1", "0.3", "--r2", "0.3")

@@ -16,7 +16,13 @@ from gmacdist import (
     symmetric_outer_bound,
     waterfill_oracle_rate,
 )
-from gmacdist.rd_bounds import waterfill_oracle_rates
+from gmacdist.rd_bounds import (
+    _LOGC_HI,
+    _LOGC_LO,
+    _component_rate,
+    _component_rates,
+    waterfill_oracle_rates,
+)
 
 INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
 
@@ -166,3 +172,53 @@ def test_batched_oracle_validation_and_convergence():
     with pytest.raises(ConvergenceError):
         waterfill_oracle_rates(c, [0.3, 0.5], [0.4, 0.5], max_iter=5)
     assert waterfill_oracle_rates(c, [], []).shape == (0,)
+
+
+def _bits(x):
+    return np.asarray(x, dtype=float).view(np.uint64).tolist()
+
+
+@pytest.mark.parametrize("sigma_sq", [5e-324, 1e-300, 1e-6, 1.0, 3.7e5, 1e300])
+@pytest.mark.parametrize("rho", [0.0, 1.0, -1.0, 0.5, 0.999999])
+def test_scalar_component_rate_matches_array_form_bitwise(sigma_sq, rho):
+    # the scan grid, its ends e^-8 and e^8 included, plus random probes
+    rng = np.random.default_rng(11)
+    logc = np.concatenate((np.linspace(_LOGC_LO, _LOGC_HI, 257),
+                           rng.uniform(_LOGC_LO, _LOGC_HI, 64)))
+    cs = np.exp(logc)
+    shares = [1e-300 / sigma_sq, 1e-12, 1e-3, 0.3, 0.999, 1.0, 2.0]
+    shares += rng.uniform(1e-4, 1.0, 4).tolist()
+    targets = [s * sigma_sq for s in shares]
+    for d1 in targets:
+        for d2 in targets:
+            # the oracle clamps targets to sigma_sq; the rate itself must
+            # agree above it too
+            with np.errstate(all="ignore"):
+                want = _component_rates(sigma_sq, rho, d1, d2, cs)
+            got = [_component_rate(sigma_sq, rho, d1, d2, c) for c in cs.tolist()]
+            assert _bits(got) == _bits(want), (d1, d2)
+
+
+def test_single_target_oracle_convergence_error():
+    c = symmetric_instance(1.0, 0.5, 1.0, 1.0)
+    with pytest.raises(ConvergenceError):
+        waterfill_oracle_rate(c, DistortionPair(0.3, 0.4), max_iter=5)
+    assert waterfill_oracle_rate(c, DistortionPair(0.3, 0.4)) == pytest.approx(
+        rd_rate(c, DistortionPair(0.3, 0.4)), abs=1e-6)
+
+
+@pytest.mark.parametrize("sigma_sq, rho, d1, d2, want", [
+    (1.0, 0.5, 0.05, 0.85, "0x1.149a784bcd201p+1"),
+    (1.0, 0.5, 0.25, 0.85, "0x1.0000000000016p+0"),
+    (390.77805486046134, 0.7247813610920201, 153.34548779471993,
+     297.1184608774471, "0x1.597d024c1d28dp-1"),
+    (0.5136558573480657, 0.6650389233995303, 0.001237379644176913,
+     0.3044939202692714, "0x1.1650db0f0a36bp+2"),
+    (0.0036062948812245594, 0.9935041598056401, 0.0006277152275039285,
+     0.0015241917149206034, "0x1.42dbe1b5b73d6p+0"),
+])
+def test_oracle_values_are_pinned(sigma_sq, rho, d1, d2, want):
+    # values of the array-form golden-section refinement; the probe order
+    # and the f1 <= f2 rule decide the last bit
+    c = CanonicalInstance(sigma_sq, rho, 1.0, 1.0, 1.0)
+    assert waterfill_oracle_rate(c, DistortionPair(d1, d2)).hex() == want
