@@ -55,11 +55,11 @@ from .vq_sim import (
     generate_codebook,
     reconstruction_coefficients,
     simulate_vq,
-    transmit_gain,
 )
 from .region import (
     BoundaryPoint,
-    SweepRecord,
+    PointVerdict,
+    SweepRow,
     Verdict,
     best_vq_for_targets,
     convexify,
@@ -85,8 +85,7 @@ __all__ = [
     "solve_symmetric_rate", "vq_bound", "vq_distortions",
     "Codebook", "CodebookSizeError", "VqTrialStats", "decode", "encode",
     "generate_codebook", "reconstruction_coefficients", "simulate_vq",
-    "transmit_gain",
-    "BoundaryPoint", "SweepRecord", "Verdict", "best_vq_for_targets",
+    "BoundaryPoint", "PointVerdict", "SweepRow", "Verdict", "best_vq_for_targets",
     "convexify", "snr_sweep", "trace_region_boundary", "verdict",
     "CriterionResult", "format_report", "run_all",
     "__version__",

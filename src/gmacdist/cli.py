@@ -19,14 +19,13 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, format_report, run_all
 from .model import (
-    CanonicalInstance,
     DistortionPair,
     ProblemInstance,
     canonicalize,
     canonicalize_distortion,
 )
 from .rd_bounds import ConvergenceError
-from .region import snr_sweep, convexify, trace_region_boundary, verdict
+from .region import SweepRow, convexify, snr_sweep, trace_region_boundary, verdict
 from .uncoded import optimality_threshold, simulate_uncoded, uncoded_distortions
 from .vq_analytic import (
     in_rate_region,
@@ -160,12 +159,12 @@ def _cmd_bounds(args) -> int:
     out = _echo_fields(inst)
     out.update({
         "d1": d_orig.d1, "d2": d_orig.d2,
-        "rd_rate": rec.outer_rd_rate,
-        "capacity_term": rec.capacity_term,
-        "achievable_possible": rec.capacity_term >= rec.outer_rd_rate - 1e-12,
-        "uncoded_d1": rec.uncoded_d1 * c.scale1,
+        "rd_rate": rec.outer.rd_rate,
+        "capacity_term": rec.outer.capacity_term,
+        "achievable_possible": rec.outer.achievable_possible,
+        "uncoded_d1": rec.uncoded_d1,
         "uncoded_d2": rec.uncoded_d2 * c.scale2,
-        "vq_d1": rec.vq_d1 * c.scale1,
+        "vq_d1": rec.vq_d1,
         "vq_d2": rec.vq_d2 * c.scale2,
         "vq_r1": rec.vq_r1, "vq_r2": rec.vq_r2,
         "verdict": rec.verdict,
@@ -182,7 +181,7 @@ def _cmd_uncoded(args) -> int:
     symmetric = c.p1 == c.p2
     out = _echo_fields(inst)
     out.update({
-        "d1": res.d1 * c.scale1, "d2": res.d2 * c.scale2,
+        "d1": res.d1, "d2": res.d2 * c.scale2,
         "gain1": res.gain1, "gain2": res.gain2,
         "lmmse1": res.lmmse1, "lmmse2": res.lmmse2,
         "symmetric_threshold_snr": thr,
@@ -200,9 +199,9 @@ def _cmd_simulate_uncoded(args) -> int:
     out = _echo_fields(inst)
     out.update({
         "trials": sim.trials, "seed": sim.seed,
-        "d1": sim.d1 * c.scale1, "d2": sim.d2 * c.scale2,
+        "d1": sim.d1, "d2": sim.d2 * c.scale2,
         "power1": sim.power1, "power2": sim.power2,
-        "analytic_d1": ana.d1 * c.scale1, "analytic_d2": ana.d2 * c.scale2,
+        "analytic_d1": ana.d1, "analytic_d2": ana.d2 * c.scale2,
     })
     _emit_json(args, out)
     return 0
@@ -221,7 +220,7 @@ def _cmd_vq_bound(args) -> int:
             "r1": args.r1, "r2": args.r2,
             "rho_tilde": res.rates.rho_tilde,
             "in_region": res.in_region,
-            "d1": res.d1 * c.scale1, "d2": res.d2 * c.scale2,
+            "d1": res.d1, "d2": res.d2 * c.scale2,
             "rate": None,
         })
     else:
@@ -233,7 +232,7 @@ def _cmd_vq_bound(args) -> int:
             "mode": "symmetric",
             "r1": rate, "r2": rate, "rate": rate,
             "rho_tilde": None, "in_region": None,
-            "d1": dist * c.scale1, "d2": dist * c.scale2,
+            "d1": dist, "d2": dist * c.scale2,
         })
     _emit_json(args, out)
     return 0
@@ -254,16 +253,16 @@ def _cmd_simulate_vq(args) -> int:
         "seed": stats.seed, "delta_typ": args.delta_typ,
         "realized_r1": stats.realized_r1, "realized_r2": stats.realized_r2,
         "in_region": in_rate_region(c, rates),
-        "empirical_d1": stats.empirical_d1 * c.scale1,
+        "empirical_d1": stats.empirical_d1,
         "empirical_d2": stats.empirical_d2 * c.scale2,
-        "cond_d1": stats.cond_d1 * c.scale1,
+        "cond_d1": stats.cond_d1,
         "cond_d2": stats.cond_d2 * c.scale2,
-        "quantizer_mse1": stats.quantizer_mse1 * c.scale1,
+        "quantizer_mse1": stats.quantizer_mse1,
         "quantizer_mse2": stats.quantizer_mse2 * c.scale2,
         "empirical_codeword_corr": stats.empirical_codeword_corr,
         "decode_error_count": stats.decode_error_count,
         "fallback_count": stats.fallback_count,
-        "analytic_d1": ana.d1 * c.scale1, "analytic_d2": ana.d2 * c.scale2,
+        "analytic_d1": ana.d1, "analytic_d2": ana.d2 * c.scale2,
     })
     _emit_json(args, out)
     return 0
@@ -290,8 +289,6 @@ def _parse_grid(spec: str) -> np.ndarray:
     raise CliError(f"grid scale must be log or lin, got {scale!r}")
 
 
-_SWEEP_COLUMNS = ("snr", "rho", "sigma_sq", "outer_d", "uncoded_d", "vq_d",
-                  "vq_rate", "threshold_flag", "verdict")
 _BOUNDARY_COLUMNS = ("d1", "outer_d2", "uncoded_d2", "vq_d2")
 
 
@@ -304,7 +301,7 @@ def _cmd_sweep(args) -> int:
         inst = _instance_from_args(args)
         c = canonicalize(inst)
         points = trace_region_boundary(c, resolution=args.resolution)
-        rows = [(p.d1 * c.scale1, p.outer_d2 * c.scale2,
+        rows = [(p.d1, p.outer_d2 * c.scale2,
                  p.uncoded_d2 * c.scale2, p.vq_d2 * c.scale2) for p in points]
         _emit_table(args, _BOUNDARY_COLUMNS, rows)
         return 0
@@ -317,14 +314,12 @@ def _cmd_sweep(args) -> int:
     if not 0 < sigma_sq < math.inf:
         raise CliError("source variance must be positive and finite")
     try:
-        records = snr_sweep(sigma_sq, abs(args.rho), _parse_grid(args.snr_grid))
+        rows = snr_sweep(sigma_sq, abs(args.rho), _parse_grid(args.snr_grid))
     except ValueError as e:
         raise CliError(str(e))
     if args.convexify:
-        records = convexify(records)
-    rows = [(r.snr, r.rho, r.sigma_sq, r.outer_d, r.uncoded_d, r.vq_d,
-             r.vq_rate, r.threshold_flag, r.verdict) for r in records]
-    _emit_table(args, _SWEEP_COLUMNS, rows)
+        rows = convexify(rows)
+    _emit_table(args, SweepRow._fields, rows)
     return 0
 
 
@@ -447,6 +442,10 @@ def main(argv=None) -> int:
         return 2
     except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
+        return 1
+    except MemoryError as e:
+        print(f"error: out of memory: {e}" if str(e) else "error: out of memory",
+              file=sys.stderr)
         return 1
 
 

@@ -4,7 +4,7 @@ Every bound in this package is stated for a pair of zero-mean Gaussian
 sequences with a common variance and nonnegative correlation.  General
 instances (unequal variances, negative correlation) are reduced to that
 canonical form here, and distortion values are mapped between the two unit
-systems with the recorded scale factors.
+systems with the recorded scale factor.
 """
 from __future__ import annotations
 
@@ -61,9 +61,10 @@ class ProblemInstance:
 class CanonicalInstance:
     """Instance with equal variances and rho >= 0.
 
-    scale1/scale2 are the multipliers that carry canonical distortions back
-    to the original units (original_d_i = canonical_d_i * scale_i), so
-    scale2 = sigma2_sq / sigma1_sq and scale1 is always 1.
+    scale2 = sigma2_sq / sigma1_sq carries canonical second-component
+    distortions back to the original units (original_d2 = canonical_d2 *
+    scale2).  The first component keeps its units, since the common
+    variance is sigma1_sq.
     """
 
     sigma_sq: float
@@ -71,9 +72,7 @@ class CanonicalInstance:
     p1: float
     p2: float
     noise_var: float
-    scale1: float = 1.0
     scale2: float = 1.0
-    sign_flipped: bool = False
 
     def __post_init__(self):
         if not self.sigma_sq > 0:
@@ -84,8 +83,8 @@ class CanonicalInstance:
             raise ValueError("powers must be nonnegative")
         if not self.noise_var > 0:
             raise ValueError("noise variance must be positive")
-        if not (self.scale1 > 0 and self.scale2 > 0):
-            raise ValueError("scale factors must be positive")
+        if not self.scale2 > 0:
+            raise ValueError("scale factor must be positive")
 
     @property
     def sqrt_p1p2(self) -> float:
@@ -119,7 +118,6 @@ class SampleBatch:
     s1: np.ndarray
     s2: np.ndarray
     z: np.ndarray
-    seed: int
 
 
 def canonicalize(inst: ProblemInstance) -> CanonicalInstance:
@@ -137,23 +135,18 @@ def canonicalize(inst: ProblemInstance) -> CanonicalInstance:
         p1=inst.p1,
         p2=inst.p2,
         noise_var=inst.noise_var,
-        scale1=1.0,
         scale2=inst.sigma2_sq / inst.sigma1_sq,
-        sign_flipped=inst.rho < 0,
     )
 
 
 def canonicalize_distortion(c: CanonicalInstance, d: DistortionPair) -> DistortionPair:
     """Map a distortion pair from original units into canonical units."""
-    return DistortionPair(d.d1 / c.scale1, d.d2 / c.scale2)
+    return DistortionPair(d.d1, d.d2 / c.scale2)
 
 
 def decanonicalize_distortion(c: CanonicalInstance, d: DistortionPair) -> DistortionPair:
-    """Map a canonical distortion pair back to original units.
-
-    Each component is multiplied by its recorded scale factor.
-    """
-    return DistortionPair(d.d1 * c.scale1, d.d2 * c.scale2)
+    """Map a canonical distortion pair back to original units."""
+    return DistortionPair(d.d1, d.d2 * c.scale2)
 
 
 def sample_source_and_noise(c: CanonicalInstance, n: int, seed: int) -> SampleBatch:
@@ -184,7 +177,7 @@ def sample_source_and_noise(c: CanonicalInstance, n: int, seed: int) -> SampleBa
     s1 = sd * g[0]
     s2 = sd * (c.rho * g[0] + math.sqrt(1.0 - c.rho * c.rho) * g[1])
     z = math.sqrt(c.noise_var) * zg
-    return SampleBatch(s1=s1, s2=s2, z=z, seed=int(seed) & _MASK64)
+    return SampleBatch(s1=s1, s2=s2, z=z)
 
 
 def symmetric_instance(sigma_sq: float, rho: float, p: float, noise_var: float) -> CanonicalInstance:

@@ -34,7 +34,6 @@ class RdCase:
 
     tag: RdCaseTag
     canonical_pair: tuple
-    swapped: bool
 
 
 @dataclass(frozen=True)
@@ -42,17 +41,6 @@ class OuterBoundResult:
     rd_rate: float
     capacity_term: float
     achievable_possible: bool
-
-
-def _clamped_ordered_pair(c: CanonicalInstance, d: DistortionPair):
-    if not (d.d1 > 0 and d.d2 > 0):
-        raise ValueError("distortion targets must be positive")
-    a = min(d.d1, c.sigma_sq)
-    b = min(d.d2, c.sigma_sq)
-    swapped = a > b
-    if swapped:
-        a, b = b, a
-    return a, b, swapped
 
 
 def classify_case(c: CanonicalInstance, d: DistortionPair) -> RdCase:
@@ -65,10 +53,13 @@ def classify_case(c: CanonicalInstance, d: DistortionPair) -> RdCase:
     """
     s2 = c.sigma_sq
     rho = c.rho
-    a, b, swapped = _clamped_ordered_pair(c, d)
+    if not (d.d1 > 0 and d.d2 > 0):
+        raise ValueError("distortion targets must be positive")
+    a = min(d.d1, d.d2, s2)
+    b = min(max(d.d1, d.d2), s2)
     if a >= s2:
         # both targets at full variance, zero rate
-        return RdCase(RdCaseTag.INTERMEDIATE, (a, b), swapped)
+        return RdCase(RdCaseTag.INTERMEDIATE, (a, b))
     thr_low = (s2 * (1.0 - rho * rho) - a) * s2 / (s2 - a)
     thr_high = s2 * (1.0 - rho * rho) + rho * rho * a
     if b < thr_low:
@@ -77,7 +68,7 @@ def classify_case(c: CanonicalInstance, d: DistortionPair) -> RdCase:
         tag = RdCaseTag.ONE_INACTIVE
     else:
         tag = RdCaseTag.INTERMEDIATE
-    return RdCase(tag, (a, b), swapped)
+    return RdCase(tag, (a, b))
 
 
 def rd_rate(c: CanonicalInstance, d: DistortionPair) -> float:

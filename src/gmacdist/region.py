@@ -7,14 +7,20 @@ traces the boundary of the target region at fixed channel parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional
+from typing import NamedTuple
 
 import numpy as np
 
 from .model import CanonicalInstance, DistortionPair
-from .rd_bounds import capacity_term, check_necessary_condition, rd_rate, symmetric_outer_bound
+from .rd_bounds import (
+    OuterBoundResult,
+    capacity_term,
+    check_necessary_condition,
+    rd_rate,
+    symmetric_outer_bound,
+)
 from .uncoded import optimality_threshold, symmetric_uncoded_bound, uncoded_distortions
 from .vq_analytic import (
     distortion_grid,
@@ -35,38 +41,31 @@ class Verdict(str, Enum):
 
 
 @dataclass(frozen=True)
-class SweepRecord:
-    """One row of a point query or symmetric power sweep.
+class PointVerdict:
+    """Verdict for one target pair, with the converse and both schemes' values."""
 
-    Point queries populate the target and rate fields; sweep rows populate
-    snr, the three symmetric distortion bounds, and the threshold flag.
-    """
-
-    sigma_sq: float
-    rho: float
-    p1: float
-    p2: float
-    noise_var: float
     verdict: str
-    d1: Optional[float] = None
-    d2: Optional[float] = None
-    outer_rd_rate: Optional[float] = None
-    capacity_term: Optional[float] = None
-    uncoded_d1: Optional[float] = None
-    uncoded_d2: Optional[float] = None
-    vq_d1: Optional[float] = None
-    vq_d2: Optional[float] = None
-    vq_r1: Optional[float] = None
-    vq_r2: Optional[float] = None
-    snr: Optional[float] = None
-    outer_d: Optional[float] = None
-    uncoded_d: Optional[float] = None
-    vq_d: Optional[float] = None
-    vq_rate: Optional[float] = None
-    threshold_flag: Optional[bool] = None
+    outer: OuterBoundResult
+    uncoded_d1: float
+    uncoded_d2: float
+    vq_d1: float
+    vq_d2: float
+    vq_r1: float
+    vq_r2: float
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+class SweepRow(NamedTuple):
+    """One power of a symmetric sweep; the fields are the output columns."""
+
+    snr: float
+    rho: float
+    sigma_sq: float
+    outer_d: float
+    uncoded_d: float
+    vq_d: float
+    vq_rate: float
+    threshold_flag: bool
+    verdict: str
 
 
 @dataclass(frozen=True)
@@ -159,7 +158,7 @@ def best_vq_for_targets(c: CanonicalInstance, d: DistortionPair):
     return rates, vq_distortions(c, rates), ratio
 
 
-def verdict(c: CanonicalInstance, d: DistortionPair) -> SweepRecord:
+def verdict(c: CanonicalInstance, d: DistortionPair) -> PointVerdict:
     """Classify a distortion target for this instance.
 
     UNACHIEVABLE when the converse rules the pair out; otherwise whichever
@@ -178,11 +177,8 @@ def verdict(c: CanonicalInstance, d: DistortionPair) -> SweepRecord:
         v = Verdict.VQ_ACHIEVES
     else:
         v = Verdict.GAP
-    return SweepRecord(
-        sigma_sq=c.sigma_sq, rho=c.rho, p1=c.p1, p2=c.p2, noise_var=c.noise_var,
-        verdict=v.value, d1=d.d1, d2=d.d2,
-        outer_rd_rate=outer.rd_rate, capacity_term=outer.capacity_term,
-        uncoded_d1=unc.d1, uncoded_d2=unc.d2,
+    return PointVerdict(
+        verdict=v.value, outer=outer, uncoded_d1=unc.d1, uncoded_d2=unc.d2,
         vq_d1=vq_d.d1, vq_d2=vq_d.d2, vq_r1=rates.r1, vq_r2=rates.r2,
     )
 
@@ -209,10 +205,10 @@ def snr_sweep(sigma_sq: float, rho: float, snr_grid) -> list:
             v = Verdict.VQ_ACHIEVES
         else:
             v = Verdict.GAP
-        rows.append(SweepRecord(
-            sigma_sq=sigma_sq, rho=rho, p1=p, p2=p, noise_var=1.0,
-            verdict=v.value, snr=p, outer_d=outer_d, uncoded_d=unc_d,
-            vq_d=vq_d, vq_rate=vq_rate, threshold_flag=bool(snr <= thr),
+        rows.append(SweepRow(
+            snr=p, rho=rho, sigma_sq=sigma_sq, outer_d=outer_d,
+            uncoded_d=unc_d, vq_d=vq_d, vq_rate=vq_rate,
+            threshold_flag=bool(snr <= thr), verdict=v.value,
         ))
     return rows
 
@@ -238,23 +234,16 @@ def _lower_convex_envelope(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def convexify(records: list) -> list:
+def convexify(rows: list) -> list:
     """Replace achievable-distortion columns by their lower convex envelope
     over the power axis (time sharing between power levels)."""
-    if not records:
+    if not rows:
         return []
-    p = np.array([r.p1 for r in records], dtype=float)
-    out_cols = {}
-    for col in ("uncoded_d", "vq_d"):
-        vals = np.array([getattr(r, col) for r in records], dtype=float)
-        out_cols[col] = _lower_convex_envelope(p, vals)
-    result = []
-    for i, r in enumerate(records):
-        d = r.to_dict()
-        for col, vals in out_cols.items():
-            d[col] = float(vals[i])
-        result.append(SweepRecord(**d))
-    return result
+    p = np.array([r.snr for r in rows], dtype=float)
+    unc = _lower_convex_envelope(p, np.array([r.uncoded_d for r in rows], dtype=float))
+    vq = _lower_convex_envelope(p, np.array([r.vq_d for r in rows], dtype=float))
+    return [r._replace(uncoded_d=float(u), vq_d=float(v))
+            for r, u, v in zip(rows, unc, vq)]
 
 
 def _min_outer_d2(c: CanonicalInstance, d1: float, cap: float,

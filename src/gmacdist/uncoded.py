@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CanonicalInstance, DistortionPair, derive_seed, sample_source_and_noise
+from .model import CanonicalInstance, derive_seed, sample_source_and_noise
 
 _CHUNK = 1 << 16
 
@@ -29,10 +29,6 @@ class UncodedResult:
     lmmse1: float
     lmmse2: float
 
-    @property
-    def distortions(self) -> DistortionPair:
-        return DistortionPair(self.d1, self.d2)
-
 
 @dataclass(frozen=True)
 class UncodedSimResult:
@@ -44,10 +40,6 @@ class UncodedSimResult:
     power2: float
     trials: int
     seed: int
-
-    @property
-    def distortions(self) -> DistortionPair:
-        return DistortionPair(self.d1, self.d2)
 
 
 def uncoded_distortions(c: CanonicalInstance) -> UncodedResult:
@@ -90,13 +82,6 @@ def optimality_threshold(rho: float) -> float:
     return rho / (1.0 - rho * rho)
 
 
-def _chunk_counts(trials: int):
-    sizes = [_CHUNK] * (trials // _CHUNK)
-    if trials % _CHUNK:
-        sizes.append(trials % _CHUNK)
-    return sizes
-
-
 def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
                      threads: int = 1) -> UncodedSimResult:
     """Monte Carlo check of the uncoded closed form.
@@ -108,11 +93,12 @@ def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
     if trials < 1:
         raise ValueError("need at least one trial")
     res = uncoded_distortions(c)
-    sizes = _chunk_counts(trials)
-    sums = np.zeros((len(sizes), 4))
+    chunks = -(-trials // _CHUNK)
+    sums = np.zeros((chunks, 4))
 
     def run_chunk(k: int):
-        batch = sample_source_and_noise(c, sizes[k], derive_seed(seed, k))
+        size = min(_CHUNK, trials - k * _CHUNK)
+        batch = sample_source_and_noise(c, size, derive_seed(seed, k))
         x1 = res.gain1 * batch.s1
         x2 = res.gain2 * batch.s2
         y = x1 + x2 + batch.z
@@ -122,9 +108,9 @@ def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, range(len(sizes))))
+            list(pool.map(run_chunk, range(chunks)))
     else:
-        for k in range(len(sizes)):
+        for k in range(chunks):
             run_chunk(k)
 
     total = sums.sum(axis=0)

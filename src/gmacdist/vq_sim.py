@@ -46,7 +46,6 @@ class Codebook:
     """2^ceil(n*rate) words of length n, all of norm radius."""
 
     n: int
-    rate: float
     words: np.ndarray
     radius: float
 
@@ -95,19 +94,14 @@ def generate_codebook(n: int, rate: float, sigma_sq: float, seed: int) -> Codebo
     # the operations of radius * g / norms, in the same order
     g *= radius
     g /= norms
-    return Codebook(n=n, rate=rate, words=g, radius=radius)
-
-
-def transmit_gain(power: float, sigma_sq: float, rate: float) -> float:
-    """Scale factor taking a codeword to the per-symbol power budget."""
-    if rate == 0.0:
-        return 0.0
-    return math.sqrt(power / (sigma_sq * (1.0 - 2.0 ** (-2.0 * rate))))
+    return Codebook(n=n, words=g, radius=radius)
 
 
 def _channel_gain(cb: Codebook, power: float) -> float:
-    # sqrt(n*P)/radius == transmit_gain analytically; this form keeps the
-    # encoder scaling and the decoder weights bit-identical.
+    # the scale factor taking a codeword to the per-symbol power budget,
+    # analytically sqrt(P / (sigma_sq (1 - 2^-2R))) at the rate R the radius
+    # was drawn for; this form keeps the encoder scaling and the decoder
+    # weights bit-identical.
     if cb.radius == 0.0:
         return 0.0
     return math.sqrt(cb.n * power) / cb.radius

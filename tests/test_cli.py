@@ -403,3 +403,23 @@ def test_simulate_vq_oversized_codebook_exits_1(capsys):
                              "--trials", "1")
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and "MiB" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("simulate-vq", "--rho", "0.8", "--p", "10", "--r1", "0.5", "--r2", "0.5",
+     "-n", "4", "--trials", "10000000000000"),
+    ("simulate-uncoded", "--rho", "0.5", "--trials", "10000000000000"),
+])
+def test_out_of_memory_exits_1(capsys, monkeypatch, argv):
+    # the simulators are stubbed, so nothing is allocated for real
+    def exhaust_vq(*args, **kwargs):
+        raise MemoryError("Unable to allocate 146. TiB for an array")
+
+    def exhaust_uncoded(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "simulate_vq", exhaust_vq)
+    monkeypatch.setattr(cli, "simulate_uncoded", exhaust_uncoded)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: out of memory")

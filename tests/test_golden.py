@@ -1,10 +1,11 @@
 """Golden CLI documents: each case's stdout must match its file byte for byte.
 
 The files under tests/golden/ pin the exact output of the analytic path
-(converse, verdict search, quantizer bound, boundary trace), of the
-quantizer simulation at one and at four threads, and of the simulation
-criteria of the acceptance report.  To write them afresh from the current
-source tree:
+(converse, verdict search, quantizer bound, uncoded closed form, power
+sweep with and without convexification, boundary trace), of the uncoded
+and quantizer simulations at one and at four threads, and of the
+simulation criteria of the acceptance report.  To write them afresh from
+the current source tree:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -24,6 +25,7 @@ VQ = ("--sigma2", "1", "--rho", "0.8", "--p", "10", "--noise", "1")
 # unequal variances and powers, negative correlation
 ASYM = ("--var1", "1.5", "--var2", "0.4", "--rho", "-0.7",
         "--p1", "3", "--p2", "0.8", "--noise", "0.5")
+SNR_LOG = ("--rho", "0.5", "--snr-grid", "0.1:100:50:log")
 
 CASES = {
     "bounds-uncoded.json": ("bounds", *SYM, "--d1", "0.5", "--d2", "0.5"),
@@ -40,6 +42,16 @@ CASES = {
                            "--noise", "1", "--boundary", "--resolution", "64"),
     "sweep-boundary-asym.json": ("sweep", *ASYM, "--boundary", "--resolution", "64",
                                  "--format", "json"),
+    "uncoded.json": ("uncoded", *SYM),
+    "uncoded-asym.json": ("uncoded", *ASYM),
+    # the log grids cross the uncoded-optimality threshold
+    "sweep-snr.csv": ("sweep", *SNR_LOG),
+    "sweep-snr-convexify.csv": ("sweep", *SNR_LOG, "--convexify"),
+    "sweep-snr-neg.json": ("sweep", "--rho", "-0.5", "--sigma2", "2",
+                           "--snr-grid", "0.1:100:50:log", "--format", "json"),
+    "sweep-snr-lin-convexify.json": ("sweep", "--rho", "0.9", "--snr-grid",
+                                     "0.5:20:40:lin", "--convexify",
+                                     "--format", "json"),
 }
 
 # simulation documents, each rendered at --threads 1 and --threads 4
@@ -56,6 +68,11 @@ SIM_CASES = {
     # every pair lies outside the window, so each trial takes the fallback
     "simulate-vq-fallback.json": (*SIM, *VQ, "--r1", "0.5", "--r2", "0.5", "-n", "4",
                                   "--trials", "40", "--delta-typ", "0.05"),
+    # four chunks, the last one partial
+    "simulate-uncoded.json": ("simulate-uncoded", "--seed", "7", *SYM,
+                              "--trials", "200000"),
+    "simulate-uncoded-asym.json": ("simulate-uncoded", "--seed", "7", *ASYM,
+                                   "--trials", "200000"),
 }
 
 # the simulation criteria of the acceptance report; the whole report is

@@ -48,14 +48,17 @@ def test_instance_validation(bad):
 def test_canonicalize_identity():
     c = canonicalize(ProblemInstance(1.0, 1.0, 0.5, 2.0, 2.0, 3.0))
     assert (c.sigma_sq, c.rho, c.p1, c.p2, c.noise_var) == (1.0, 0.5, 2.0, 2.0, 3.0)
-    assert (c.scale1, c.scale2, c.sign_flipped) == (1.0, 1.0, False)
+    assert c.scale2 == 1.0
+    d = DistortionPair(0.3, 0.7)
+    assert canonicalize_distortion(c, d) == d
 
 
 def test_canonicalize_rescales_and_flips():
     c = canonicalize(ProblemInstance(4.0, 1.0, -0.5, 1.0, 1.0, 1.0))
     assert c.sigma_sq == 4.0
     assert c.rho == 0.5
-    assert c.sign_flipped
+    # the sign flip leaves nothing behind in the canonical form
+    assert c == canonicalize(ProblemInstance(4.0, 1.0, 0.5, 1.0, 1.0, 1.0))
     # scale2 carries canonical second-component distortions back to original
     # units, so it is the variance ratio sigma2_sq / sigma1_sq
     assert c.scale2 == pytest.approx(0.25, rel=1e-15)
@@ -65,14 +68,14 @@ def test_sign_flip_only_changes_flag():
     a = canonicalize(ProblemInstance(2.0, 3.0, 0.4, 1.0, 2.0, 1.0))
     b = canonicalize(ProblemInstance(2.0, 3.0, -0.4, 1.0, 2.0, 1.0))
     assert a.rho == b.rho and a.scale2 == b.scale2
-    assert not a.sign_flipped and b.sign_flipped
+    assert a == b
 
 
 def test_decanonicalize_multiplies_by_recorded_scale():
-    c = CanonicalInstance(1.0, 0.5, 1.0, 1.0, 1.0, scale1=1.0, scale2=4.0)
+    c = CanonicalInstance(1.0, 0.5, 1.0, 1.0, 1.0, scale2=4.0)
     out = decanonicalize_distortion(c, DistortionPair(0.5, 0.5))
     assert (out.d1, out.d2) == (0.5, 2.0)
-    c = CanonicalInstance(1.0, 0.5, 1.0, 1.0, 1.0, scale1=1.0, scale2=1.0 / 9.0)
+    c = CanonicalInstance(1.0, 0.5, 1.0, 1.0, 1.0, scale2=1.0 / 9.0)
     out = decanonicalize_distortion(c, DistortionPair(0.9, 0.9))
     assert out.d1 == 0.9
     assert out.d2 == pytest.approx(0.1, rel=1e-12)
@@ -93,7 +96,8 @@ def test_scale_convention_matches_physical_units():
     # closed form must land in these original units.
     inst = ProblemInstance(1.0, 9.0, 0.6, 2.0, 3.0, 1.0)
     c = canonicalize(inst)
-    ana = decanonicalize_distortion(c, uncoded_distortions(c).distortions)
+    res = uncoded_distortions(c)
+    ana = decanonicalize_distortion(c, DistortionPair(res.d1, res.d2))
 
     rng = np.random.default_rng(123)
     n = 400_000

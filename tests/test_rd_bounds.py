@@ -30,13 +30,14 @@ INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
 def test_classify_both_small():
     case = classify_case(INST, DistortionPair(0.3, 0.3))
     assert case.tag is RdCaseTag.BOTH_SMALL
-    assert not case.swapped
+    assert case.canonical_pair == (0.3, 0.3)
+    # an already ordered pair keeps its order
+    assert classify_case(INST, DistortionPair(0.25, 0.3)).canonical_pair == (0.25, 0.3)
 
 
 def test_classify_one_inactive_orders_pair():
     case = classify_case(INST, DistortionPair(0.9, 0.1))
     assert case.tag is RdCaseTag.ONE_INACTIVE
-    assert case.swapped
     assert case.canonical_pair == (0.1, 0.9)
 
 

@@ -7,7 +7,7 @@ import gmacdist.region as region
 from gmacdist import (
     CanonicalInstance,
     DistortionPair,
-    SweepRecord,
+    SweepRow,
     Verdict,
     capacity_term,
     convexify,
@@ -29,7 +29,7 @@ def test_verdict_desk_cases():
     assert rec.verdict == "UNCODED_ACHIEVES"
     assert rec.uncoded_d1 == pytest.approx(0.5, rel=1e-12)
     # this power ratio sits exactly on the uncoded-optimality threshold
-    assert rec.outer_rd_rate == pytest.approx(rec.capacity_term, abs=1e-9)
+    assert rec.outer.rd_rate == pytest.approx(rec.outer.capacity_term, abs=1e-9)
 
     assert verdict(INST, DistortionPair(0.4, 0.4)).verdict == "UNACHIEVABLE"
     assert verdict(INST, DistortionPair(1.0, 1.0)).verdict == "UNCODED_ACHIEVES"
@@ -58,7 +58,7 @@ def test_verdict_fields_match_label():
         rec = verdict(c, DistortionPair(t, t))
         assert rec.verdict in names
         if rec.verdict == "UNACHIEVABLE":
-            assert rec.outer_rd_rate > rec.capacity_term - 1e-12
+            assert rec.outer.rd_rate > rec.outer.capacity_term - 1e-12
         elif rec.verdict == "UNCODED_ACHIEVES":
             assert rec.uncoded_d1 <= t * (1.0 + 1e-9)
             assert rec.uncoded_d2 <= t * (1.0 + 1e-9)
@@ -66,7 +66,7 @@ def test_verdict_fields_match_label():
             assert rec.vq_d1 <= t * (1.0 + 1e-6)
             assert rec.vq_d2 <= t * (1.0 + 1e-6)
         else:
-            assert rec.outer_rd_rate <= rec.capacity_term + 1e-12
+            assert rec.outer.rd_rate <= rec.outer.capacity_term + 1e-12
             assert max(rec.uncoded_d1, rec.uncoded_d2) > t
             assert max(rec.vq_d1, rec.vq_d2) > t
 
@@ -97,9 +97,8 @@ def test_sweep_rejects_nonpositive_snr():
 
 def _power_records(pairs):
     return [
-        SweepRecord(sigma_sq=1.0, rho=0.5, p1=p, p2=p, noise_var=1.0,
-                    verdict="GAP", snr=p, outer_d=0.0, uncoded_d=d, vq_d=d,
-                    vq_rate=0.1, threshold_flag=False)
+        SweepRow(snr=p, rho=0.5, sigma_sq=1.0, outer_d=0.0, uncoded_d=d,
+                 vq_d=d, vq_rate=0.1, threshold_flag=False, verdict="GAP")
         for p, d in pairs
     ]
 

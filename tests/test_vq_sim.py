@@ -13,7 +13,6 @@ from gmacdist import (
     reconstruction_coefficients,
     simulate_vq,
     symmetric_instance,
-    transmit_gain,
 )
 from gmacdist import vq_sim
 from gmacdist.vq_sim import (
@@ -159,10 +158,12 @@ def test_encode_zero_rate_sends_nothing():
 
 
 def test_channel_gain_matches_analytic_form():
+    # sqrt(P / (sigma_sq (1 - 2^-2R))) at P = 3, sigma_sq = 1, R = 1/2
     cb = generate_codebook(8, 0.5, 1.0, 5)
     assert _channel_gain(cb, 3.0) == pytest.approx(
-        transmit_gain(3.0, 1.0, cb.realized_rate), rel=1e-12)
-    assert transmit_gain(3.0, 1.0, 0.0) == 0.0
+        math.sqrt(3.0 / (1.0 * (1.0 - 2.0 ** (-2.0 * cb.realized_rate)))),
+        rel=1e-12)
+    assert _channel_gain(generate_codebook(8, 0.0, 1.0, 5), 3.0) == 0.0
 
 
 def test_reconstruction_desk_values():
