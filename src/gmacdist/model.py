@@ -9,11 +9,46 @@ systems with the recorded scale factor.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+
+# cap on the memory a simulator keeps per trial (or per chunk of trials)
+# until its final sums, checked before anything is allocated
+MAX_TRIAL_BYTES = 64 << 20
+
+
+class TrialCountError(ValueError):
+    """Requested trial count needs more result memory than the cap."""
+
+
+def check_trial_bytes(trials: int, need: int) -> None:
+    """Refuse, before allocating, a run whose results need above MAX_TRIAL_BYTES."""
+    if need > MAX_TRIAL_BYTES:
+        raise TrialCountError(
+            f"{trials} trials need {need >> 20} MiB of results, "
+            f"cap is {MAX_TRIAL_BYTES >> 20} MiB")
+
+
+def pool_size(threads: int, items: int) -> int:
+    """Worker threads for a pool over items work items: never more than items."""
+    return min(threads, items)
+
+
+def run_pooled(fn, items: int, threads: int) -> None:
+    """Call fn(k) for every k in range(items), on a thread pool when more
+    than one worker would have work.  fn writes its own result slots, so the
+    outcome does not depend on the pool size."""
+    workers = pool_size(threads, items)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(fn, range(items)))
+    else:
+        for k in range(items):
+            fn(k)
 
 
 def _splitmix64(x: int) -> int:

@@ -8,14 +8,16 @@ scheme meets the converse exactly in the equal-power case.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CanonicalInstance, derive_seed, sample_source_and_noise
+from .model import (CanonicalInstance, check_trial_bytes, derive_seed, run_pooled,
+                    sample_source_and_noise)
 
 _CHUNK = 1 << 16
+# four float64 sums per chunk
+_CHUNK_RESULT_BYTES = 32
 
 
 @dataclass(frozen=True)
@@ -88,12 +90,15 @@ def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
 
     Trials are generated in fixed-size chunks, each with a seed derived from
     (seed, chunk index), and chunk sums are reduced in index order, so the
-    result is bitwise identical for any thread count.
+    result is bitwise identical for any thread count.  Raises
+    TrialCountError, before allocating, when the chunk sums would need more
+    than MAX_TRIAL_BYTES (above 2^37 trials).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    res = uncoded_distortions(c)
     chunks = -(-trials // _CHUNK)
+    check_trial_bytes(trials, chunks * _CHUNK_RESULT_BYTES)
+    res = uncoded_distortions(c)
     sums = np.zeros((chunks, 4))
 
     def run_chunk(k: int):
@@ -106,13 +111,7 @@ def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
         e2 = batch.s2 - res.lmmse2 * y
         sums[k] = (e1 @ e1, e2 @ e2, x1 @ x1, x2 @ x2)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_chunk, range(chunks)))
-    else:
-        for k in range(chunks):
-            run_chunk(k)
-
+    run_pooled(run_chunk, chunks, threads)
     total = sums.sum(axis=0)
     return UncodedSimResult(
         d1=total[0] / trials,

@@ -5,19 +5,20 @@ retained source energy.  Encoding picks the codeword closest to the source
 block; the decoder searches codeword pairs whose mutual correlation is near
 the residual correlation rho_tilde and picks the pair whose scaled sum best
 aligns with the channel output.  Reconstruction combines both decoded words
-with fixed linear coefficients.
+with fixed linear coefficients.  Trials run in blocks, so each codebook is
+read once per block by one GEMM rather than once per trial.
 """
 from __future__ import annotations
 
 import math
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .model import CanonicalInstance, derive_seed, sample_source_and_noise
+from .model import (CanonicalInstance, check_trial_bytes, derive_seed, run_pooled,
+                    sample_source_and_noise)
 from .vq_analytic import RatePair, in_rate_region, rho_tilde
 
 MAX_CODEBOOK_BITS = 22
@@ -31,6 +32,17 @@ _SEED_WORDS = 64
 _ORDER_BLOCK = 64
 _SCAN_ROWS = 8
 _SCAN_BLOCK_BYTES = 4 << 20
+
+# codebook rows drawn and normalized at a time, while they are in cache
+_FILL_BLOCK_BYTES = 512 << 10
+
+# the simulator's unit of work: up to _TRIAL_BLOCK trials, fewer when one
+# side's (trials, words) GEMM output would pass _TRIAL_BLOCK_BYTES
+_TRIAL_BLOCK = 32
+_TRIAL_BLOCK_BYTES = 4 << 20
+# five float64 result slots and two flags per trial, plus the copy of the
+# correctly decoded trials' errors that the conditional sums take
+_TRIAL_RESULT_BYTES = 64
 
 _STREAM_TRIAL = 0
 _STREAM_CODEBOOK1 = 1
@@ -70,8 +82,10 @@ def generate_codebook(n: int, rate: float, sigma_sq: float, seed: int) -> Codebo
     Words are IID Gaussian vectors normalized onto the sphere of radius
     sqrt(n * sigma_sq * (1 - 2^-2rate)).  Rate zero yields the single
     all-zero word.  Raises CodebookSizeError, before allocating anything,
-    above 2^22 words or 256 MiB of words.  The draw is scaled onto the
-    sphere in place, so the codebook costs one (m, n) array.
+    above 2^22 words or 256 MiB of words.  Rows are drawn in blocks of about
+    _FILL_BLOCK_BYTES, each normalized and scaled in place while it is still
+    in cache; the generator's stream, and so every word, is that of one
+    (m, n) draw, and the codebook costs that one array.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
@@ -89,11 +103,15 @@ def generate_codebook(n: int, rate: float, sigma_sq: float, seed: int) -> Codebo
             f"cap is {MAX_CODEBOOK_BYTES >> 20} MiB")
     radius = math.sqrt(n * sigma_sq * (1.0 - 2.0 ** (-2.0 * rate)))
     rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
-    g = rng.standard_normal((m, n))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    # the operations of radius * g / norms, in the same order
-    g *= radius
-    g /= norms
+    g = np.empty((m, n))
+    step = max(1, _FILL_BLOCK_BYTES // (8 * n))
+    for i in range(0, m, step):
+        blk = g[i:i + step]
+        rng.standard_normal(out=blk)
+        norms = np.linalg.norm(blk, axis=1, keepdims=True)
+        # the operations of radius * g / norms, in the same order
+        blk *= radius
+        blk /= norms
     return Codebook(n=n, words=g, radius=radius)
 
 
@@ -108,15 +126,16 @@ def _channel_gain(cb: Codebook, power: float) -> float:
 
 
 def encode(cb: Codebook, s: np.ndarray, power: float):
-    """Quantize a source block and scale it for transmission.
+    """Quantize a block of trials' source words, one per row of s, and
+    scale them for transmission.
 
-    Returns (index, x) where index selects the word with the largest inner
-    product with s (ties go to the lowest index) and x is the transmitted
-    block with squared norm n*power (identically zero at rate zero).
+    One GEMM scores every row against every word.  Returns (index, x):
+    index[t] selects the word with the largest inner product with s[t]
+    (ties go to the lowest index) and x[t] is the transmitted word, of
+    squared norm n*power (identically zero at rate zero).
     """
-    idx = int(np.argmax(cb.words @ s))
-    x = _channel_gain(cb, power) * cb.words[idx]
-    return idx, x
+    idx = np.argmax(s @ cb.words.T, axis=1)
+    return idx, _channel_gain(cb, power) * cb.words[idx]
 
 
 def _best_update(best, f, i1, i2):
@@ -185,13 +204,19 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
     m1, m2 = len(a1), len(a2)
     den_min = math.sqrt(max(b + two_a * glo, 0.0))
     den_max = math.sqrt(max(b + two_a * ghi, 0.0))
-    a2max = a2.max()
+    a2max = float(a2.max())
 
     def bound(num):
         # the largest objective an in-window pair with this numerator reaches
         hi = num / den_min if den_min > 0 else np.inf
         lo = num / den_max if den_max > 0 else 0.0
         return np.where(num > 0, hi, lo)
+
+    def row_bound(num):
+        # bound() of one Python float: the same IEEE divisions, so the same bits
+        if num > 0:
+            return num / den_min if den_min > 0 else math.inf
+        return num / den_max if den_max > 0 else 0.0
 
     best = _seed_incumbent(w1, w2, a1, a2, b, two_a, glo, ghi)
     key = -a1
@@ -217,7 +242,7 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
         gram = buf[:len(blk) * len(cols)].reshape(len(blk), len(cols))
         np.matmul(w1[blk], w2c.T, out=gram)
         for p, g in zip(blk, gram):
-            if best is not None and bound(a1[p] + a2max) < best[0]:
+            if best is not None and row_bound(float(a1[p]) + a2max) < best[0]:
                 return best
             sel = np.flatnonzero((g >= glo) & (g <= ghi))
             if sel.size:
@@ -229,21 +254,23 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
     return best
 
 
-def decode(cb1: Codebook, cb2: Codebook, y: np.ndarray, rho_t: float,
-           delta_typ: float, alpha1: float, alpha2: float) -> DecodeResult:
-    """Joint decoding of the transmitted codeword pair.
+def decode(cb1: Codebook, cb2: Codebook, a1: np.ndarray, a2: np.ndarray,
+           rho_t: float, delta_typ: float, alpha1: float,
+           alpha2: float) -> DecodeResult:
+    """Joint decoding of one trial's transmitted codeword pair.
 
-    Searches pairs whose normalized inner product lies within delta_typ of
-    rho_t and returns the pair maximizing the normalized inner product of
-    alpha1*u1 + alpha2*u2 with y.  If the window is empty the search is
-    repeated over all pairs and the result is flagged as a fallback.
+    a1 and a2 are the channel correlations alpha_i * <u, y> of every word u
+    of each side with the trial's channel output y: one row of the block
+    GEMMs in simulate_vq.  Searches pairs whose normalized inner product
+    lies within delta_typ of rho_t and returns the pair maximizing the
+    normalized inner product of alpha1*u1 + alpha2*u2 with y.  If the window
+    is empty the search is repeated over all pairs and the result is
+    flagged as a fallback.
     """
     if cb1.size == 1 and cb2.size == 1:
         return DecodeResult(0, 0, False)
     r1, r2 = cb1.radius, cb2.radius
     rr = r1 * r2
-    a1 = alpha1 * (cb1.words @ y)
-    a2 = alpha2 * (cb2.words @ y)
     b = (alpha1 * r1) ** 2 + (alpha2 * r2) ** 2
     two_a = 2.0 * alpha1 * alpha2
     glo = max((rho_t - delta_typ) * rr, -rr)
@@ -320,6 +347,11 @@ class VqTrialStats:
     seed: int
 
 
+def _trial_block(words: int) -> int:
+    """Trials per block when the larger codebook has this many words."""
+    return max(1, min(_TRIAL_BLOCK, _TRIAL_BLOCK_BYTES // (8 * words)))
+
+
 def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
                 delta_typ: float = 0.05, seed: int = 0,
                 threads: int = 1) -> VqTrialStats:
@@ -328,12 +360,19 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
     Codebooks are drawn once from seeds derived from (seed, side); trial k
     draws its source and noise from a seed derived from (seed, k) and writes
     into its own result slot, so the aggregate is reproducible and
-    independent of evaluation order and thread count.
+    independent of evaluation order and thread count.  The unit of work is
+    a block of consecutive trials (see _trial_block, which does not depend
+    on threads): their draws are stacked, each side is encoded and
+    correlated with the channel outputs by one GEMM, and each trial is then
+    decoded from its own row.  Raises TrialCountError, before allocating,
+    when the per-trial results would need more than MAX_TRIAL_BYTES (above
+    2^20 trials).
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if delta_typ < 0:
         raise ValueError("correlation window must be nonnegative")
+    check_trial_bytes(trials, trials * _TRIAL_RESULT_BYTES)
     if not in_rate_region(c, rates):
         warnings.warn("rate pair is outside the decodable region; "
                       "decoding statistics will be unreliable", stacklevel=2)
@@ -345,6 +384,8 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
     rt = rates.rho_tilde
     beta1, gamma1, beta2, gamma2 = reconstruction_coefficients(c.rho, r1, r2, c.sigma_sq)
     rr = cb1.radius * cb2.radius
+    w1, w2 = cb1.words, cb2.words
+    block = _trial_block(max(cb1.size, cb2.size))
 
     se = np.zeros((trials, 2))
     qmse = np.zeros((trials, 2))
@@ -352,32 +393,37 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
     err = np.zeros(trials, dtype=bool)
     fell = np.zeros(trials, dtype=bool)
 
-    def run_trial(k: int):
-        batch = sample_source_and_noise(c, n, derive_seed(seed, _STREAM_TRIAL, k))
-        i1, x1 = encode(cb1, batch.s1, c.p1)
-        i2, x2 = encode(cb2, batch.s2, c.p2)
-        y = x1 + x2 + batch.z
-        dec = decode(cb1, cb2, y, rt, delta_typ, alpha1, alpha2)
-        u1 = cb1.words[dec.index1]
-        u2 = cb2.words[dec.index2]
-        s1_hat = beta1 * u1 + gamma1 * u2
-        s2_hat = beta2 * u1 + gamma2 * u2
-        e1 = batch.s1 - s1_hat
-        e2 = batch.s2 - s2_hat
-        q1 = batch.s1 - cb1.words[i1]
-        q2 = batch.s2 - cb2.words[i2]
-        se[k] = (e1 @ e1, e2 @ e2)
-        qmse[k] = (q1 @ q1, q2 @ q2)
-        corr[k] = (cb1.words[i1] @ cb2.words[i2]) / rr if rr > 0 else 0.0
-        err[k] = (dec.index1, dec.index2) != (i1, i2)
-        fell[k] = dec.fallback
+    def run_block(j: int):
+        ks = range(j * block, min(trials, (j + 1) * block))
+        batches = [sample_source_and_noise(c, n, derive_seed(seed, _STREAM_TRIAL, k))
+                   for k in ks]
+        s1 = np.stack([bt.s1 for bt in batches])
+        s2 = np.stack([bt.s2 for bt in batches])
+        idx1, x1 = encode(cb1, s1, c.p1)
+        idx2, x2 = encode(cb2, s2, c.p2)
+        y = x1 + x2 + np.stack([bt.z for bt in batches])
+        # alpha * (y @ w.T), scaled in place: the same products
+        a1 = y @ w1.T
+        a1 *= alpha1
+        a2 = y @ w2.T
+        a2 *= alpha2
+        for t, (k, i1, i2) in enumerate(zip(ks, idx1.tolist(), idx2.tolist())):
+            dec = decode(cb1, cb2, a1[t], a2[t], rt, delta_typ, alpha1, alpha2)
+            u1 = w1[dec.index1]
+            u2 = w2[dec.index2]
+            s1_hat = beta1 * u1 + gamma1 * u2
+            s2_hat = beta2 * u1 + gamma2 * u2
+            e1 = s1[t] - s1_hat
+            e2 = s2[t] - s2_hat
+            q1 = s1[t] - w1[i1]
+            q2 = s2[t] - w2[i2]
+            se[k] = (e1 @ e1, e2 @ e2)
+            qmse[k] = (q1 @ q1, q2 @ q2)
+            corr[k] = (w1[i1] @ w2[i2]) / rr if rr > 0 else 0.0
+            err[k] = (dec.index1, dec.index2) != (i1, i2)
+            fell[k] = dec.fallback
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_trial, range(trials)))
-    else:
-        for k in range(trials):
-            run_trial(k)
+    run_pooled(run_block, -(-trials // block), threads)
 
     good = ~err
     n_good = int(good.sum())

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -405,11 +406,27 @@ def test_simulate_vq_oversized_codebook_exits_1(capsys):
     assert err.count("\n") == 1 and "MiB" in err
 
 
-@pytest.mark.parametrize("argv", [
+huge_trials = pytest.mark.parametrize("argv", [
     ("simulate-vq", "--rho", "0.8", "--p", "10", "--r1", "0.5", "--r2", "0.5",
      "-n", "4", "--trials", "10000000000000"),
     ("simulate-uncoded", "--rho", "0.5", "--trials", "10000000000000"),
 ])
+
+
+@huge_trials
+def test_trial_cap_refuses_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.endswith("cap is 64 MiB\n")
+    assert peak < 1 << 20
+
+
+@huge_trials
 def test_out_of_memory_exits_1(capsys, monkeypatch, argv):
     # the simulators are stubbed, so nothing is allocated for real
     def exhaust_vq(*args, **kwargs):

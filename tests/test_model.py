@@ -15,6 +15,8 @@ from gmacdist import (
     symmetric_instance,
     uncoded_distortions,
 )
+from gmacdist import model
+from gmacdist.model import TrialCountError, check_trial_bytes, pool_size, run_pooled
 
 
 def test_derive_seed_is_stable():
@@ -140,3 +142,33 @@ def test_sampling_rejects_empty_batch():
     c = symmetric_instance(1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         sample_source_and_noise(c, 0, 1)
+
+
+def test_pool_size_never_exceeds_work_items():
+    assert pool_size(1, 10) == 1
+    assert pool_size(4, 14) == 4
+    assert pool_size(4, 1) == 1
+    assert pool_size(10**9, 3) == 3
+
+
+def test_run_pooled_starts_no_idle_workers(monkeypatch):
+    # a huge thread count asks the pool for only as many workers as items
+    started = []
+
+    class Recording(model.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(model, "ThreadPoolExecutor", Recording)
+    for threads, items in ((10**9, 3), (1, 5), (8, 1)):
+        done = []
+        run_pooled(done.append, items, threads)
+        assert sorted(done) == list(range(items))
+    assert started == [3]
+
+
+def test_trial_bytes_cap():
+    check_trial_bytes(1, model.MAX_TRIAL_BYTES)
+    with pytest.raises(TrialCountError, match="cap is 64 MiB"):
+        check_trial_bytes(7, model.MAX_TRIAL_BYTES + 1)

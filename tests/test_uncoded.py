@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 
@@ -11,6 +12,7 @@ from gmacdist import (
     symmetric_uncoded_bound,
     uncoded_distortions,
 )
+from gmacdist.model import TrialCountError
 
 INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
 
@@ -111,3 +113,15 @@ def test_simulation_zero_noise_limit_independent_sources():
 def test_simulation_rejects_zero_trials():
     with pytest.raises(ValueError):
         simulate_uncoded(INST, 0, seed=1)
+
+
+def test_simulation_trial_cap_refuses_before_allocating():
+    # 2^37 trials fill 2^21 chunks of 32 bytes, the 64 MiB cap
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrialCountError, match="cap is 64 MiB"):
+            simulate_uncoded(INST, (1 << 37) + 1, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -1,20 +1,27 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
 from gmacdist import (
     CodebookSizeError,
+    ProblemInstance,
+    VqTrialStats,
+    canonicalize,
     decode,
+    derive_seed,
     encode,
     generate_codebook,
     make_rate_pair,
     reconstruction_coefficients,
+    sample_source_and_noise,
     simulate_vq,
     symmetric_instance,
 )
 from gmacdist import vq_sim
+from gmacdist.model import TrialCountError
 from gmacdist.vq_sim import (
     _best_update,
     _channel_gain,
@@ -37,6 +44,67 @@ def _decode_args(cb1, cb2, y, alpha1, alpha2):
     a2 = alpha2 * (cb2.words @ y)
     b = (alpha1 * cb1.radius) ** 2 + (alpha2 * cb2.radius) ** 2
     return a1, a2, b, 2.0 * alpha1 * alpha2
+
+
+def _encode_one(cb, s, power):
+    """Reference single-trial encoder: one gemv over the codebook."""
+    idx = int(np.argmax(cb.words @ s))
+    return idx, _channel_gain(cb, power) * cb.words[idx]
+
+
+def _decode_one(cb1, cb2, y, rho_t, delta_typ, alpha1, alpha2):
+    """Reference single-trial decoder: the channel correlations by gemv."""
+    a1, a2, _, _ = _decode_args(cb1, cb2, y, alpha1, alpha2)
+    return decode(cb1, cb2, a1, a2, rho_t, delta_typ, alpha1, alpha2)
+
+
+def _simulate_one_by_one(c, rates, n, trials, delta_typ, seed):
+    """Reference simulate_vq: every trial encoded and decoded on its own."""
+    r1, r2 = rates.r1, rates.r2
+    cb1 = generate_codebook(n, r1, c.sigma_sq, derive_seed(seed, vq_sim._STREAM_CODEBOOK1))
+    cb2 = generate_codebook(n, r2, c.sigma_sq, derive_seed(seed, vq_sim._STREAM_CODEBOOK2))
+    alpha1 = _channel_gain(cb1, c.p1)
+    alpha2 = _channel_gain(cb2, c.p2)
+    beta1, gamma1, beta2, gamma2 = reconstruction_coefficients(c.rho, r1, r2, c.sigma_sq)
+    rr = cb1.radius * cb2.radius
+    se = np.zeros((trials, 2))
+    qmse = np.zeros((trials, 2))
+    corr = np.zeros(trials)
+    err = np.zeros(trials, dtype=bool)
+    fell = np.zeros(trials, dtype=bool)
+    for k in range(trials):
+        batch = sample_source_and_noise(c, n, derive_seed(seed, vq_sim._STREAM_TRIAL, k))
+        i1, x1 = _encode_one(cb1, batch.s1, c.p1)
+        i2, x2 = _encode_one(cb2, batch.s2, c.p2)
+        y = x1 + x2 + batch.z
+        dec = _decode_one(cb1, cb2, y, rates.rho_tilde, delta_typ, alpha1, alpha2)
+        u1 = cb1.words[dec.index1]
+        u2 = cb2.words[dec.index2]
+        e1 = batch.s1 - (beta1 * u1 + gamma1 * u2)
+        e2 = batch.s2 - (beta2 * u1 + gamma2 * u2)
+        q1 = batch.s1 - cb1.words[i1]
+        q2 = batch.s2 - cb2.words[i2]
+        se[k] = (e1 @ e1, e2 @ e2)
+        qmse[k] = (q1 @ q1, q2 @ q2)
+        corr[k] = (cb1.words[i1] @ cb2.words[i2]) / rr if rr > 0 else 0.0
+        err[k] = (dec.index1, dec.index2) != (i1, i2)
+        fell[k] = dec.fallback
+    good = ~err
+    n_good = int(good.sum())
+    cond = se[good].sum(axis=0) / (n_good * n) if n_good else np.array([math.nan, math.nan])
+    return VqTrialStats(
+        trials=trials, blocklength=n,
+        realized_r1=cb1.realized_rate, realized_r2=cb2.realized_rate,
+        empirical_d1=se[:, 0].sum() / (trials * n),
+        empirical_d2=se[:, 1].sum() / (trials * n),
+        cond_d1=float(cond[0]), cond_d2=float(cond[1]),
+        quantizer_mse1=qmse[:, 0].sum() / (trials * n),
+        quantizer_mse2=qmse[:, 1].sum() / (trials * n),
+        empirical_codeword_corr=float(corr.mean()),
+        decode_error_count=int(err.sum()),
+        fallback_count=int(fell.sum()),
+        seed=int(seed),
+    )
 
 
 def _decode_bruteforce(w1, w2, a1, a2, b, two_a, glo, ghi):
@@ -126,6 +194,35 @@ def test_codebook_byte_cap_rejects_before_allocating():
     assert peak < 1 << 20
 
 
+def test_codebook_block_fill_matches_one_draw(monkeypatch):
+    # drawing and normalizing in row blocks, the last one partial, gives the
+    # bits of one (m, n) draw scaled as radius * g / norms
+    def one_draw(n, rate, seed):
+        m = 1 << math.ceil(n * rate)
+        radius = math.sqrt(n * (1.0 - 2.0 ** (-2.0 * rate)))
+        g = np.random.default_rng(seed).standard_normal((m, n))
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        g *= radius
+        g /= norms
+        return g
+
+    for block_bytes in (vq_sim._FILL_BLOCK_BYTES, 8 * 12 * 5, 1):
+        monkeypatch.setattr(vq_sim, "_FILL_BLOCK_BYTES", block_bytes)
+        for n, rate, seed in ((12, 0.5, 4), (12, 0.0, 5), (7, 1.0, 6), (20, 0.6, 7)):
+            got = generate_codebook(n, rate, 1.0, seed).words
+            assert np.array_equal(got, one_draw(n, rate, seed))
+
+
+def test_codebook_peak_memory_is_the_codebook():
+    tracemalloc.start()
+    try:
+        cb = generate_codebook(32, 0.5, 1.0, 9)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= cb.words.nbytes + (1 << 20)
+
+
 def test_codebook_determinism():
     a = generate_codebook(8, 0.5, 1.0, 7)
     b = generate_codebook(8, 0.5, 1.0, 7)
@@ -144,17 +241,27 @@ def test_codebook_isotropy():
 def test_encode_picks_aligned_word():
     cb1, _, _ = _random_setup(1)
     p = 2.0
-    for k in (0, 7, 15):
-        idx, x = encode(cb1, cb1.words[k], p)
-        assert idx == k
-        assert np.dot(x, x) == pytest.approx(cb1.n * p, rel=1e-9)
+    idx, x = encode(cb1, cb1.words[[0, 7, 15]], p)
+    assert idx.tolist() == [0, 7, 15]
+    for row in x:
+        assert np.dot(row, row) == pytest.approx(cb1.n * p, rel=1e-9)
 
 
 def test_encode_zero_rate_sends_nothing():
     cb = generate_codebook(8, 0.0, 1.0, 2)
-    idx, x = encode(cb, np.ones(8), 4.0)
-    assert idx == 0
+    idx, x = encode(cb, np.ones((3, 8)), 4.0)
+    assert idx.tolist() == [0, 0, 0]
     assert np.all(x == 0.0)
+
+
+def test_encode_block_matches_single_trial_reference():
+    cb, _, _ = _random_setup(4, n=12, bits1=9)
+    s = np.random.default_rng(4).standard_normal((40, 12))
+    idx, x = encode(cb, s, 1.5)
+    for row, i, xi in zip(s, idx, x):
+        want_i, want_x = _encode_one(cb, row, 1.5)
+        assert i == want_i
+        assert np.array_equal(xi, want_x)
 
 
 def test_channel_gain_matches_analytic_form():
@@ -295,7 +402,7 @@ def test_decode_recovers_noiseless_sum():
     cb1, cb2, _ = _random_setup(99)
     alpha1, alpha2 = 1.1, 0.8
     y = alpha1 * cb1.words[7] + alpha2 * cb2.words[3]
-    res = decode(cb1, cb2, y, 0.0, 1.0, alpha1, alpha2)
+    res = _decode_one(cb1, cb2, y, 0.0, 1.0, alpha1, alpha2)
     assert (res.index1, res.index2) == (7, 3)
     assert not res.fallback
 
@@ -308,7 +415,7 @@ def test_decode_empty_window_falls_back():
     gmax = float(np.max(cb1.words @ cb2.words.T))
     # the requested window sits above every codeword pair's inner product
     assert gmax < 0.99 * rr
-    res = decode(cb1, cb2, y, 0.999, 1e-6, alpha1, alpha2)
+    res = _decode_one(cb1, cb2, y, 0.999, 1e-6, alpha1, alpha2)
     assert res.fallback
     a1, a2, b, two_a = _decode_args(cb1, cb2, y, alpha1, alpha2)
     want = _decode_bruteforce(cb1.words, cb2.words, a1, a2, b, two_a, -rr, rr)
@@ -318,10 +425,75 @@ def test_decode_empty_window_falls_back():
 def test_simulate_thread_invariance():
     c = symmetric_instance(1.0, 0.8, 10.0, 1.0)
     rates = make_rate_pair(c, 0.5, 0.5)
-    a = simulate_vq(c, rates, 12, 40, delta_typ=0.4, seed=21, threads=1)
-    b = simulate_vq(c, rates, 12, 40, delta_typ=0.4, seed=21, threads=4)
-    assert not math.isnan(a.cond_d1)
-    assert repr(a) == repr(b)
+    # 40 trials fit one block; 133 span five, more than the four threads,
+    # the last one partial
+    assert vq_sim._trial_block(64) == 32
+    for trials in (40, 133):
+        a = simulate_vq(c, rates, 12, trials, delta_typ=0.4, seed=21, threads=1)
+        b = simulate_vq(c, rates, 12, trials, delta_typ=0.4, seed=21, threads=4)
+        assert not math.isnan(a.cond_d1)
+        assert repr(a) == repr(b)
+
+
+_SYM = symmetric_instance(1.0, 0.8, 10.0, 1.0)
+# unequal variances and powers, negative correlation
+_ASYM = canonicalize(ProblemInstance(1.5, 0.4, -0.7, 3.0, 0.8, 0.5))
+
+
+@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("c, r1, r2, n, delta_typ", [
+    (_SYM, 0.5, 0.5, 16, 0.4),
+    (_SYM, 0.5, 0.5, 24, 0.4),
+    (_ASYM, 0.9, 0.3, 10, 0.05),
+    (_ASYM, 0.0, 0.75, 12, 0.05),     # a zero-rate side
+    (_SYM, 0.5, 0.5, 12, 1e-6),       # every trial falls back
+], ids=["sym-n16", "sym-n24", "asym-neg-rho", "zero-rate", "fallback"])
+def test_blocked_simulation_matches_per_trial_reference(
+        monkeypatch, block, c, r1, r2, n, delta_typ):
+    if block is not None:
+        # 17 trials then make six blocks, the last one partial
+        monkeypatch.setattr(vq_sim, "_TRIAL_BLOCK", block)
+    rates = make_rate_pair(c, r1, r2)
+    for seed in (31, 32):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            got = simulate_vq(c, rates, n, 17, delta_typ=delta_typ, seed=seed, threads=2)
+            want = _simulate_one_by_one(c, rates, n, 17, delta_typ, seed)
+        assert repr(got) == repr(want)
+        if delta_typ < 1e-3:
+            assert got.fallback_count == got.trials
+
+
+def test_trial_block_gemm_outputs_stay_under_cap(monkeypatch):
+    # at 4,096 words a side, one trial's correlation row is 32 KiB; 64
+    # trials in one block would make 2 MiB GEMM outputs per side
+    cap = 256 << 10
+    monkeypatch.setattr(vq_sim, "_TRIAL_BLOCK_BYTES", cap)
+    monkeypatch.setattr(vq_sim, "_SCAN_BLOCK_BYTES", 64 << 10)
+    assert vq_sim._trial_block(4096) == 8
+    c = symmetric_instance(1.0, 0.8, 10.0, 1.0)
+    rates = make_rate_pair(c, 0.75, 0.75)
+    words = 2 * 4096 * 16 * 8
+    simulate_vq(c, rates, 16, 1, delta_typ=0.4, seed=3)  # one-time allocations
+    tracemalloc.start()
+    try:
+        simulate_vq(c, rates, 16, 64, delta_typ=0.4, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < words + 3 * cap + (256 << 10)
+
+
+def test_simulate_trial_cap_refuses_before_allocating():
+    c = symmetric_instance(1.0, 0.8, 10.0, 1.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TrialCountError, match="cap is 64 MiB"):
+            simulate_vq(c, make_rate_pair(c, 0.5, 0.5), 32, (1 << 20) + 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_simulate_zero_rate():
