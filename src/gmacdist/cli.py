@@ -13,19 +13,28 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
 
 from .acceptance import DEFAULT_SEED, format_report, run_all
 from .model import (
+    MAX_THREADS,
     DistortionPair,
     ProblemInstance,
     canonicalize,
     canonicalize_distortion,
 )
 from .rd_bounds import ConvergenceError
-from .region import SweepRow, convexify, snr_sweep, trace_region_boundary, verdict
+from .region import (
+    SweepRow,
+    check_sweep_points,
+    convexify,
+    snr_sweep,
+    trace_region_boundary,
+    verdict,
+)
 from .uncoded import optimality_threshold, simulate_uncoded, uncoded_distortions
 from .vq_analytic import (
     in_rate_region,
@@ -42,6 +51,12 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # take "-9e-06" for a negative number, not an unknown flag, as every
+        # argument that starts with "-" and a digit is read from Python 3.13 on
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
     def error(self, message):
         raise CliError(message)
 
@@ -280,6 +295,7 @@ def _parse_grid(spec: str) -> np.ndarray:
     scale = parts[3]
     if count < 1:
         raise CliError("grid needs at least one point")
+    check_sweep_points(count)
     if not (0 < start < math.inf and 0 < stop < math.inf):
         raise CliError("power ratios must be positive and finite")
     if scale == "log":
@@ -431,6 +447,8 @@ def main(argv=None) -> int:
             args.seed = seed
         if getattr(args, "threads", 1) < 1:
             raise CliError("--threads must be at least 1")
+        if getattr(args, "threads", 1) > MAX_THREADS:
+            raise CliError(f"--threads must be at most {MAX_THREADS}")
         if getattr(args, "trials", 1) < 1:
             raise CliError("--trials must be at least 1")
         return args.handler(args)

@@ -33,6 +33,10 @@ def check_trial_bytes(trials: int, need: int) -> None:
             f"cap is {MAX_TRIAL_BYTES >> 20} MiB")
 
 
+# the most worker threads a caller may ask for; the CLI refuses more
+MAX_THREADS = 256
+
+
 def pool_size(threads: int, items: int) -> int:
     """Worker threads for a pool over items work items: never more than items."""
     return min(threads, items)

@@ -32,6 +32,18 @@ from .vq_analytic import (
 
 _REL_TOL = 1e-9
 
+# each point of a power sweep costs one symmetric solve (about 0.3 ms) and
+# each point of a boundary trace one rate search (about 1 ms)
+MAX_SWEEP_POINTS = 1 << 16
+
+
+def check_sweep_points(points: int) -> None:
+    """Refuse, before its grid is allocated, a sweep of more than
+    MAX_SWEEP_POINTS points."""
+    if points > MAX_SWEEP_POINTS:
+        raise ValueError(f"{points} sweep points requested, "
+                         f"cap is {MAX_SWEEP_POINTS}")
+
 
 class Verdict(str, Enum):
     UNACHIEVABLE = "UNACHIEVABLE"
@@ -275,6 +287,7 @@ def trace_region_boundary(c: CanonicalInstance, resolution: int = 64) -> list:
     """
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
+    check_sweep_points(resolution)
     cap = capacity_term(c)
     unc = uncoded_distortions(c)
     coarse = _coarse_grid(c)

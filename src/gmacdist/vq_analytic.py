@@ -8,6 +8,7 @@ operating point is a fixed-point equation solved here by bisection.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -18,34 +19,57 @@ from .rd_bounds import ConvergenceError
 
 _REGION_TOL = 1e-12
 
+# numpy's log2 differs from libm's by at most an ulp on a small share of
+# inputs.  An array decision whose operand lies within this relative band of
+# its edge is decided again with libm; the band is about 4,000 ulps wide.
+_EDGE_BAND = 2.0 ** -40
+_BAND_LOW, _BAND_HIGH = 1.0 - _EDGE_BAND, 1.0 + _EDGE_BAND
+_np_log2 = np.log2  # one name, so tests can move numpy's log2 by a few ulps
+
 
 def _libm(fn, x):
     """Apply a scalar math function elementwise, returning an array.
 
-    numpy's vectorized power and log2 differ from libm in the last bit on a
-    small share of inputs; going through libm keeps the array forms below
-    bitwise equal to scalar evaluation.
+    numpy's vectorized power differs from libm in the last bit on several
+    percent of inputs, and those bits reach printed distortions; going
+    through libm keeps the array forms below bitwise equal to scalar
+    evaluation.  log2 is taken with numpy and checked with _libm_near_edge.
     """
     x = np.asarray(x, dtype=float)
     return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
+def _libm_near_edge(fast, near, exact):
+    """fast, with exact(k) in place of each flat entry k where near holds.
+
+    fast is a decision computed with numpy's log2; near marks the entries
+    within _EDGE_BAND of their decision edge, the only ones where an ulp of
+    log2 can change the outcome; exact(k) redoes entry k with libm.
+    """
+    for k in np.flatnonzero(near).tolist():
+        fast.flat[k] = exact(k)
+    return fast
+
+
+_pow2 = functools.partial(pow, 2.0)
+
+
 def _share(r):
     """2^-2r, the share of source variance a rate-r quantizer leaves."""
-    return _libm(lambda v: 2.0 ** (-2.0 * v), r)
+    return _libm(_pow2, -2.0 * np.asarray(r, dtype=float))
 
 
 def _corr(rho, q1, q2):
     return rho * np.sqrt((1.0 - q1) * (1.0 - q2))
 
 
-def _limits(c: CanonicalInstance, rt):
+def _limit_args(c: CanonicalInstance, rt):
+    """The single-rate and sum-rate limits are each half the log2 of these."""
     n = c.noise_var
     one = 1.0 - rt * rt
-    b1 = 0.5 * _libm(math.log2, (c.p1 * one + n) / (n * one))
-    b2 = 0.5 * _libm(math.log2, (c.p2 * one + n) / (n * one))
-    bsum = 0.5 * _libm(math.log2, (c.p1 + c.p2 + 2.0 * rt * c.sqrt_p1p2 + n) / (n * one))
-    return b1, b2, bsum
+    den = n * one
+    return ((c.p1 * one + n) / den, (c.p2 * one + n) / den,
+            (c.p1 + c.p2 + 2.0 * rt * c.sqrt_p1p2 + n) / den)
 
 
 def _inside(r1, r2, limits):
@@ -106,7 +130,7 @@ def rate_region_limits(c: CanonicalInstance, rt: float):
     """Single-rate and sum-rate ceilings of the decodable region at a given
     residual correlation.  Raises ValueError when 1 - rt^2 rounds to 0."""
     _require_decodable(rt)
-    return tuple(float(b) for b in _limits(c, rt))
+    return tuple(0.5 * math.log2(a) for a in _limit_args(c, rt))
 
 
 def in_rate_region(c: CanonicalInstance, rates: RatePair) -> bool:
@@ -138,15 +162,35 @@ def distortion_grid(c: CanonicalInstance, r1: np.ndarray, r2: np.ndarray):
 
     Returns (inside, d1, d2) as arrays of shape (len(r1), len(r2)); each
     cell is bitwise what in_rate_region and vq_distortions give for that
-    pair.  Cells where 1 - rho_tilde^2 rounds to 0 count as outside.
+    pair.  Cells where 1 - rho_tilde^2 rounds to 0 count as outside.  The
+    region limits take numpy's log2; a cell whose rate or rate sum lies
+    within _EDGE_BAND of a limit is tested again with libm's.
     """
-    r1 = np.asarray(r1, dtype=float)[:, None]
-    r2 = np.asarray(r2, dtype=float)[None, :]
-    q1, q2 = _share(r1), _share(r2)
+    r1 = np.asarray(r1, dtype=float)
+    r2 = np.asarray(r2, dtype=float)
+    q = _share(np.concatenate((r1, r2)))
+    q1, q2 = q[:r1.size, None], q[None, r1.size:]
+    r1, r2 = r1[:, None], r2[None, :]
     rt = _corr(c.rho, q1, q2)
     with np.errstate(all="ignore"):
-        inside = (1.0 - rt * rt != 0.0) & _inside(r1, r2, _limits(c, rt))
+        args = _limit_args(c, rt)
+        rates = (r1, r2, r1 + r2)
+        edges = [0.5 * _np_log2(a) + _REGION_TOL for a in args]
+        # every edge is positive; a cell inside the edges lowered by the band,
+        # or outside the edges raised by it, is decided alike at libm's edges
+        low = [x <= e * _BAND_LOW for x, e in zip(rates, edges)]
+        high = [x <= e * _BAND_HIGH for x, e in zip(rates, edges)]
+        inside = low[0] & low[1] & low[2]
+        near = (high[0] & high[1] & high[2]) ^ inside
         d1, d2 = _distortions(c, q1, q2, rt)
+    cols = inside.shape[1]
+
+    def libm_cell(k):
+        i, j = divmod(k, cols)
+        return _inside(float(r1[i, 0]), float(r2[0, j]),
+                       [0.5 * math.log2(a.flat[k]) for a in args])
+
+    inside = (1.0 - rt * rt != 0.0) & _libm_near_edge(inside, near, libm_cell)
     return inside, d1, d2
 
 
@@ -158,12 +202,15 @@ def vq_bound(c: CanonicalInstance, r1: float, r2: float) -> VqBoundResult:
                          d1=d.d1, d2=d.d2)
 
 
+def _symmetric_rhs_arg(p: float, noise_var: float, rt):
+    """The symmetric rate ceiling is a quarter of the log2 of this."""
+    return (2.0 * p * (1.0 + rt) + noise_var) / (noise_var * (1.0 - rt * rt))
+
+
 def _symmetric_rhs(rho: float, p: float, noise_var: float, r: float) -> float:
-    q = 2.0 ** (-2.0 * r)
-    rt = rho * (1.0 - q)
-    num = 2.0 * p * (1.0 + rt) + noise_var
-    den = noise_var * (1.0 - rt * rt)
-    return 0.25 * math.log2(num / den)
+    rt = rho * (1.0 - 2.0 ** (-2.0 * r))
+    _require_decodable(rt)
+    return 0.25 * math.log2(_symmetric_rhs_arg(p, noise_var, rt))
 
 
 def _symmetric_distortion(sigma_sq: float, rho: float, r: float) -> float:
@@ -180,7 +227,12 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
     residual correlation, so the operating point is the fixed point of
     r = rhs(r).  rhs is increasing and bounded (for rho < 1), g = rhs - r is
     positive at 0 and eventually negative; the largest zero is located by a
-    1024-cell scan and then bisection to the requested tolerance.
+    1024-cell scan and then bisection to the requested tolerance.  The scan
+    is scored in one numpy pass; a point whose g lies within _EDGE_BAND of 0
+    (or is NaN) is scored again with the scalar libm form, so the sign test
+    sees what scalar evaluation gives.  The bisection stays scalar.  Raises
+    ValueError when the residual correlation rounds to 1 while the scan's
+    upper end is sought (rho = 1 at enormous power).
 
     Returns
     -------
@@ -212,8 +264,14 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
     # scan for the last sign change, then bisect inside that cell
     cells = 1024
     lo = 0.0
-    xs = [lo + (hi - lo) * k / cells for k in range(cells + 1)]
-    gs = [g(x) for x in xs]
+    xs = lo + (hi - lo) * np.arange(cells + 1) / cells
+    # rho_tilde stays below its value at hi, so no denominator is 0 here
+    with np.errstate(all="ignore"):
+        rt = rho * (1.0 - _share(xs))
+        gs = 0.25 * _np_log2(_symmetric_rhs_arg(p, noise_var, rt)) - xs
+        near = ~(np.abs(gs) > _EDGE_BAND * (np.abs(xs) + 1.0))  # or NaN
+    xs = xs.tolist()
+    gs = _libm_near_edge(gs, near, lambda k: g(xs[k])).tolist()
     left, right = lo, hi
     for k in range(cells, 0, -1):
         if gs[k - 1] > 0 >= gs[k]:

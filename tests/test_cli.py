@@ -2,6 +2,8 @@ import json
 import math
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -9,6 +11,8 @@ import pytest
 
 import gmacdist.cli as cli
 from gmacdist import ConvergenceError
+from gmacdist.model import MAX_THREADS
+from gmacdist.region import MAX_SWEEP_POINTS
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -440,3 +444,85 @@ def test_out_of_memory_exits_1(capsys, monkeypatch, argv):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
     assert err.count("\n") == 1 and err.startswith("error: out of memory")
+
+
+@pytest.mark.parametrize("argv", [
+    ("vq-bound", "--sigma2", "1", "--rho", "1", "--p", "1e300", "--noise", "1"),
+    ("sweep", "--rho", "1", "--snr-grid", "1e299:1e300:3:log"),
+])
+def test_symmetric_solve_at_full_residual_correlation_exits_1(capsys, argv):
+    # rho_tilde rounds to 1 while the solver seeks the top of its scan;
+    # that once ended in a ZeroDivisionError traceback
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "rounds to 1" in err
+
+
+def test_symmetric_solve_without_sign_change_exits_2(capsys):
+    code, out, err = run_cli(capsys, "vq-bound", "--rho", "0.999999999999",
+                             "--p", "1e300")
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1 and "failed to converge" in err
+
+
+def test_threads_cap_refuses_without_starting_threads(capsys, monkeypatch):
+    # the simulators and the acceptance run are stubbed, and starting any
+    # thread fails the test
+    seen = []
+
+    def stub(*args, threads, **kwargs):
+        seen.append(threads)
+        raise cli.CliError("stubbed")
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    for name in ("simulate_uncoded", "simulate_vq", "run_all"):
+        monkeypatch.setattr(cli, name, stub)
+    for argv in (("simulate-uncoded", "--rho", "0.5"),
+                 ("simulate-vq", "--rho", "0.8", "--p", "10", "--r1", "0.5",
+                  "--r2", "0.5", "-n", "4"),
+                 ("verify",)):
+        code, out, err = run_cli(capsys, *argv, "--threads", str(MAX_THREADS + 1))
+        assert (code, out) == (1, "")
+        assert err == f"error: --threads must be at most {MAX_THREADS}\n"
+        code, _, err = run_cli(capsys, *argv, "--threads", str(MAX_THREADS))
+        assert (code, err) == (1, "error: stubbed\n")
+    assert seen == [MAX_THREADS] * 3
+
+
+@pytest.mark.parametrize("argv", [
+    ("sweep", "--rho", "0.5", "--snr-grid", "1:2:1000000000000:log"),
+    ("sweep", "--rho", "0.5", "--boundary", "--resolution", "1000000000000"),
+])
+def test_sweep_point_cap_refuses_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        elapsed = time.perf_counter() - start
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.endswith(f"cap is {MAX_SWEEP_POINTS}\n")
+    assert peak < 1 << 20
+    assert elapsed < 1.0
+
+
+@pytest.mark.parametrize("argv, schema", [
+    (("bounds", "--d1", "0.5", "--d2", "0.5"), "bounds"),
+    (("vq-bound",), "vq-bound"),
+    (("sweep", "--boundary", "--resolution", "3", "--format", "json"), "sweep-boundary"),
+])
+def test_negative_scientific_values_parse(capsys, argv, schema):
+    # repr() writes a small negative correlation as "-9.153287305937452e-06",
+    # which argparse before Python 3.13 took for an unknown flag
+    code, out, err = run_cli(capsys, argv[0], "--rho", "-9.153287305937452e-06",
+                             "--p", "2", *argv[1:])
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    check_schema(doc, schema)
+    if schema != "sweep-boundary":
+        assert doc["rho"] == -9.153287305937452e-06

@@ -20,6 +20,8 @@ from gmacdist import (
     verdict,
     vq_distortions,
 )
+from gmacdist.region import MAX_SWEEP_POINTS, best_vq_for_targets, check_sweep_points
+from gmacdist.vq_analytic import distortion_grid, rate_region_limits
 
 INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
 
@@ -267,3 +269,30 @@ def test_rate_axis_cap_rejects_overflow():
     assert math.isfinite(region._rate_axis_cap(symmetric_instance(1.0, 0.5, 1e300, 1.0)))
     with pytest.raises(ValueError, match="overflows"):
         region._rate_axis_cap(symmetric_instance(1.0, 0.5, 1e308, 1.0))
+
+
+def test_rate_search_never_worse_than_dense_grid():
+    # the zooming search against every cell of a dense grid that spans each
+    # rate up to its largest single-rate limit (at rho_tilde = rho)
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        p1 = float(10 ** rng.uniform(-1, 2))
+        c = CanonicalInstance(1.0, float(rng.uniform(0.0, 0.95)), p1,
+                              float(p1 * 10 ** rng.uniform(-0.6, 0.6)), 1.0)
+        d = DistortionPair(float(10 ** rng.uniform(-2, -0.2)),
+                           float(10 ** rng.uniform(-2, -0.2)))
+        _, _, ratio = best_vq_for_targets(c, d)
+        b1, b2, _ = rate_region_limits(c, c.rho)
+        axis1 = np.linspace(0.0, b1 + 0.01, 700)
+        axis2 = np.linspace(0.0, b2 + 0.01, 700)
+        inside, d1, d2 = distortion_grid(c, axis1, axis2)
+        dense = np.where(inside, np.maximum(d1 / d.d1, d2 / d.d2), math.inf).min()
+        assert ratio <= dense
+
+
+def test_sweep_point_cap():
+    check_sweep_points(MAX_SWEEP_POINTS)
+    with pytest.raises(ValueError, match=f"cap is {MAX_SWEEP_POINTS}"):
+        check_sweep_points(MAX_SWEEP_POINTS + 1)
+    with pytest.raises(ValueError, match="cap is"):
+        trace_region_boundary(INST, resolution=MAX_SWEEP_POINTS + 1)
