@@ -15,7 +15,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import DistortionPair, derive_seed, symmetric_instance
+from .model import DistortionPair, check_threads, derive_seed, symmetric_instance
 from .rd_bounds import rd_rate, symmetric_outer_bound, waterfill_oracle_rates
 from .uncoded import simulate_uncoded, symmetric_uncoded_bound, uncoded_distortions
 from .vq_analytic import (
@@ -252,7 +252,9 @@ _CRITERIA = (
 
 def run_all(seed: int = DEFAULT_SEED, threads: int = 1,
             criteria=None) -> list:
-    """Run the numbered checks and return one result per criterion."""
+    """Run the numbered checks and return one result per criterion.  Raises
+    ValueError, before any check runs, when threads is above MAX_THREADS."""
+    check_threads(threads)
     wanted = None if criteria is None else set(criteria)
     if wanted is not None:
         known = {num for num, *_ in _CRITERIA}

@@ -20,7 +20,6 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, format_report, run_all
 from .model import (
-    MAX_THREADS,
     DistortionPair,
     ProblemInstance,
     canonicalize,
@@ -447,8 +446,6 @@ def main(argv=None) -> int:
             args.seed = seed
         if getattr(args, "threads", 1) < 1:
             raise CliError("--threads must be at least 1")
-        if getattr(args, "threads", 1) > MAX_THREADS:
-            raise CliError(f"--threads must be at most {MAX_THREADS}")
         if getattr(args, "trials", 1) < 1:
             raise CliError("--trials must be at least 1")
         return args.handler(args)

@@ -33,8 +33,15 @@ def check_trial_bytes(trials: int, need: int) -> None:
             f"cap is {MAX_TRIAL_BYTES >> 20} MiB")
 
 
-# the most worker threads a caller may ask for; the CLI refuses more
+# the most worker threads a simulator or the acceptance run may be asked
+# for, checked before any thread starts
 MAX_THREADS = 256
+
+
+def check_threads(threads: int) -> None:
+    """Refuse, before any thread starts, a thread count above MAX_THREADS."""
+    if threads > MAX_THREADS:
+        raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")
 
 
 def pool_size(threads: int, items: int) -> int:

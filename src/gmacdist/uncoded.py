@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (CanonicalInstance, check_trial_bytes, derive_seed, run_pooled,
-                    sample_source_and_noise)
+from .model import (CanonicalInstance, check_threads, check_trial_bytes, derive_seed,
+                    run_pooled, sample_source_and_noise)
 
 _CHUNK = 1 << 16
 # four float64 sums per chunk
@@ -92,12 +92,14 @@ def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
     (seed, chunk index), and chunk sums are reduced in index order, so the
     result is bitwise identical for any thread count.  Raises
     TrialCountError, before allocating, when the chunk sums would need more
-    than MAX_TRIAL_BYTES (above 2^37 trials).
+    than MAX_TRIAL_BYTES (above 2^37 trials), and ValueError when threads
+    is above MAX_THREADS.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     chunks = -(-trials // _CHUNK)
     check_trial_bytes(trials, chunks * _CHUNK_RESULT_BYTES)
+    check_threads(threads)
     res = uncoded_distortions(c)
     sums = np.zeros((chunks, 4))
 

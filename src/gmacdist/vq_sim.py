@@ -17,8 +17,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (CanonicalInstance, check_trial_bytes, derive_seed, run_pooled,
-                    sample_source_and_noise)
+from .model import (CanonicalInstance, check_threads, check_trial_bytes, derive_seed,
+                    run_pooled, sample_source_and_noise)
 from .vq_analytic import RatePair, in_rate_region, rho_tilde
 
 MAX_CODEBOOK_BITS = 22
@@ -366,13 +366,14 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
     correlated with the channel outputs by one GEMM, and each trial is then
     decoded from its own row.  Raises TrialCountError, before allocating,
     when the per-trial results would need more than MAX_TRIAL_BYTES (above
-    2^20 trials).
+    2^20 trials), and ValueError when threads is above MAX_THREADS.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
     if delta_typ < 0:
         raise ValueError("correlation window must be nonnegative")
     check_trial_bytes(trials, trials * _TRIAL_RESULT_BYTES)
+    check_threads(threads)
     if not in_rate_region(c, rates):
         warnings.warn("rate pair is outside the decodable region; "
                       "decoding statistics will be unreliable", stacklevel=2)

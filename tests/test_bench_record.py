@@ -1,6 +1,8 @@
 """The parsing and summary helpers of tools/bench_record.py; no benchmark runs."""
 import importlib.util
 import json
+import statistics
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -48,3 +50,46 @@ def test_bad_arguments_exit_2(argv, monkeypatch):
     with pytest.raises(SystemExit) as exc:
         bench_record.main(argv)
     assert exc.value.code == 2
+
+
+def test_timed_out_runs_are_recorded_not_raised(monkeypatch):
+    def hang(cmd, **kwargs):
+        raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+
+    monkeypatch.setattr(bench_record.subprocess, "run", hang)
+    run = bench_record.run_bench(Path("."), "analytic", 5, 30.0, 0)
+    assert run == {"seed": 5, "exit": None, "correct": False,
+                   "error": "timed out after 900.0 s"}
+    res = bench_record.run_verify(Path("."), 4)
+    assert res == {"exit": None, "criteria_s": {},
+                   "error": "timed out after 1800 s"}
+
+
+def test_record_alternates_trees_and_traces_the_first_seeds(monkeypatch):
+    calls = []
+
+    def fake_bench(path, workload, seed, seconds, trace):
+        calls.append((str(path), workload, seed, trace))
+        return {"seed": seed, "exit": 0, "correct": True,
+                "end_to_end": {"items_per_s": float(seed)},
+                "per_layer": {"op.self_ms": 1.0} if trace else {}}
+
+    monkeypatch.setattr(bench_record, "run_bench", fake_bench)
+    monkeypatch.setattr(bench_record, "run_verify", lambda path, threads: {
+        "exit": 0, "criteria_s": {"1": float(threads)}})
+    seeds = list(range(10, 10 + bench_record.TRACED_SEEDS + 1))
+    out = bench_record.record({"a": Path("A"), "b": Path("B")}, seeds, 1.0,
+                              {"analytic": len(seeds), "vq-sim": 1},
+                              log=lambda msg: None)
+    assert calls[:4] == [("A", "analytic", 10, 0), ("B", "analytic", 10, 0),
+                         ("A", "analytic", 10, 1), ("B", "analytic", 10, 1)]
+    assert [c[0] for c in calls if c[2] == 11][:2] == ["B", "A"]
+    traced = {c[2] for c in calls if c[3] == 1 and c[1] == "analytic"}
+    assert traced == set(seeds[:bench_record.TRACED_SEEDS])
+    entry = out["a"]["workloads"]["analytic"]
+    assert entry["all_correct"] and len(entry["runs"]) == len(seeds)
+    assert entry["end_to_end"]["items_per_s"]["median"] == statistics.median(seeds)
+    assert entry["per_layer"]["op.self_ms"]["n"] == bench_record.TRACED_SEEDS
+    assert len(out["b"]["workloads"]["vq-sim"]["runs"]) == 1
+    assert out["b"]["verify"] == {"1": {"exit": 0, "criteria_s": {"1": 1.0}},
+                                  "4": {"exit": 0, "criteria_s": {"1": 4.0}}}

@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -16,7 +17,14 @@ from gmacdist import (
     uncoded_distortions,
 )
 from gmacdist import model
-from gmacdist.model import TrialCountError, check_trial_bytes, pool_size, run_pooled
+from gmacdist.model import (
+    MAX_THREADS,
+    TrialCountError,
+    check_threads,
+    check_trial_bytes,
+    pool_size,
+    run_pooled,
+)
 
 
 def test_derive_seed_is_stable():
@@ -166,6 +174,24 @@ def test_run_pooled_starts_no_idle_workers(monkeypatch):
         run_pooled(done.append, items, threads)
         assert sorted(done) == list(range(items))
     assert started == [3]
+
+
+def test_thread_cap_refuses_before_any_thread_starts(monkeypatch):
+    from gmacdist import make_rate_pair, run_all, simulate_uncoded, simulate_vq
+
+    def no_thread(self):
+        raise AssertionError("a thread was started")
+
+    monkeypatch.setattr(threading.Thread, "start", no_thread)
+    check_threads(MAX_THREADS)
+    c = symmetric_instance(1.0, 0.8, 10.0, 1.0)
+    for call in (lambda: check_threads(MAX_THREADS + 1),
+                 lambda: simulate_uncoded(c, 10, 1, threads=MAX_THREADS + 1),
+                 lambda: simulate_vq(c, make_rate_pair(c, 0.5, 0.5), 4, 10,
+                                     threads=MAX_THREADS + 1),
+                 lambda: run_all(threads=10**9)):
+        with pytest.raises(ValueError, match=f"at most {MAX_THREADS}"):
+            call()
 
 
 def test_trial_bytes_cap():

@@ -3,9 +3,9 @@
     python3 tools/bench_record.py --out BENCH_16.json --seconds 30 \\
         parent=../gmacdist-parent change=.
 
-    # ten seeds of analytic, three of each simulator, two traced seeds
+    # ten seeds of analytic, three of each simulator
     python3 tools/bench_record.py --out BENCH_16.json --seconds 30 \\
-        --workloads analytic:10,vq-sim:3,uncoded-sim:3 --traced-seeds 2 \\
+        --workloads analytic:10,vq-sim:3,uncoded-sim:3 \\
         parent=../gmacdist-parent change=.
 
 Each positional argument names a checkout as LABEL=PATH.  For every
@@ -14,10 +14,10 @@ checkout the file records:
 - each ``bench/run.py`` workload at 3 seeds (or ``SEEDS`` seeds when
   ``--workloads`` names it ``NAME:SEEDS``), untraced: every run's end-to-end
   metrics, exit status, correctness and output digest, and per metric the
-  median and quartiles over the runs; for the first ``--traced-seeds``
-  seeds also a traced run, and the median of its per-layer metrics;
-- ``gmacdist verify --timings`` at ``--threads`` 1 and 4 (seed 7): each
-  criterion's seconds, the median over ``--verify-repeats`` runs;
+  median and quartiles over the runs; for the first three seeds also a
+  traced run, and the median of its per-layer metrics;
+- ``gmacdist verify --timings`` at ``--threads`` 1 and 4 (seed 7), run
+  once each: each criterion's seconds;
 - the commit checked out and whether the tree had uncommitted changes.
 
 The machine facts are recorded once: ``nproc``, Python, numpy, the BLAS
@@ -46,6 +46,7 @@ WORKLOADS = ("analytic", "vq-sim", "uncoded-sim")
 VERIFY_THREADS = (1, 4)
 VERIFY_SEED = 7
 DEFAULT_SEEDS = 3
+TRACED_SEEDS = 3
 _CRITERION = re.compile(r"^criterion (\d+): ([0-9.]+) s$")
 
 
@@ -143,8 +144,12 @@ def run_bench(path: Path, workload: str, seed: int, seconds: float,
               trace: int) -> dict:
     cmd = [sys.executable, str(path / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, capture_output=True, text=True,
-                          timeout=10 * seconds + 600)
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True,
+                              timeout=10 * seconds + 600)
+    except subprocess.TimeoutExpired as e:
+        return {"seed": seed, "exit": None, "correct": False,
+                "error": f"timed out after {e.timeout} s"}
     run = {"seed": seed, "exit": proc.returncode}
     try:
         run.update(parse_bench_output(proc.stdout))
@@ -157,8 +162,12 @@ def run_verify(path: Path, threads: int) -> dict:
     env = dict(os.environ, PYTHONPATH=str(path / "src"))
     cmd = [sys.executable, "-m", "gmacdist", "verify", "--timings",
            "--seed", str(VERIFY_SEED), "--threads", str(threads)]
-    proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
-                          timeout=1800)
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                              timeout=1800)
+    except subprocess.TimeoutExpired as e:
+        return {"exit": None, "criteria_s": {},
+                "error": f"timed out after {e.timeout} s"}
     return {"exit": proc.returncode, "criteria_s": parse_timings(proc.stderr)}
 
 
@@ -169,7 +178,7 @@ def summarize_runs(runs: list, key: str) -> dict:
 
 
 def record(trees: dict, seeds: list, seconds: float, workloads: dict,
-           traced_seeds: int, verify_repeats: int, log=print) -> dict:
+           log=print) -> dict:
     """Run everything; workloads maps each workload to its number of seeds,
     the first that many of seeds."""
     out = {label: {**tree_facts(path), "workloads": {}, "verify": {}}
@@ -178,7 +187,7 @@ def record(trees: dict, seeds: list, seconds: float, workloads: dict,
     for n, seed in enumerate(seeds):
         order = labels if n % 2 == 0 else labels[::-1]
         for workload in (w for w, k in workloads.items() if n < k):
-            for trace in ((0, 1) if n < traced_seeds else (0,)):
+            for trace in ((0, 1) if n < TRACED_SEEDS else (0,)):
                 for label in order:
                     run = run_bench(trees[label], workload, seed, seconds, trace)
                     log(f"{label} {workload} seed {seed} trace {trace}: "
@@ -193,20 +202,10 @@ def record(trees: dict, seeds: list, seconds: float, workloads: dict,
             entry["end_to_end"] = summarize_runs(entry["runs"], "end_to_end")
             entry["per_layer"] = summarize_runs(entry["traced_runs"], "per_layer")
     for threads in VERIFY_THREADS:
-        for rep in range(verify_repeats):
-            for label in (labels if rep % 2 == 0 else labels[::-1]):
-                res = run_verify(trees[label], threads)
-                log(f"{label} verify --threads {threads}: exit {res['exit']}")
-                out[label]["verify"].setdefault(str(threads), []).append(res)
-    for label in labels:
-        for threads, reps in out[label]["verify"].items():
-            out[label]["verify"][threads] = {
-                "exits": [r["exit"] for r in reps],
-                "criteria_s": {k: statistics.median(r["criteria_s"][k] for r in reps
-                                                    if k in r["criteria_s"])
-                               for k in sorted({k for r in reps for k in r["criteria_s"]},
-                                               key=int)},
-            }
+        for label in labels:
+            res = run_verify(trees[label], threads)
+            log(f"{label} verify --threads {threads}: exit {res['exit']}")
+            out[label]["verify"][str(threads)] = res
     return out
 
 
@@ -220,9 +219,6 @@ def main(argv=None) -> int:
                     help="--seconds of each bench run")
     ap.add_argument("--workloads", default=",".join(WORKLOADS),
                     help="comma-separated workloads, each NAME or NAME:SEEDS")
-    ap.add_argument("--traced-seeds", type=int, default=0,
-                    help="seeds that also get a traced run (per-layer metrics)")
-    ap.add_argument("--verify-repeats", type=int, default=1)
     args = ap.parse_args(argv)
 
     trees = {}
@@ -237,21 +233,19 @@ def main(argv=None) -> int:
         if name not in WORKLOADS or not (count or "1").isdigit():
             ap.error(f"bad workload {spec!r}; choose from {', '.join(WORKLOADS)}")
         workloads[name] = int(count) if count else DEFAULT_SEEDS
-    if min(workloads.values(), default=0) < 1 or args.verify_repeats < 0:
-        ap.error("every workload needs a seed, and --verify-repeats must be >= 0")
+    if min(workloads.values(), default=0) < 1:
+        ap.error("every workload needs at least one seed")
     seeds = list(range(args.first_seed, args.first_seed + max(workloads.values())))
 
     doc = {
         "recorded_utc": datetime.datetime.now(datetime.timezone.utc)
         .strftime("%Y-%m-%dT%H:%M:%SZ"),
         "settings": {"seeds": seeds, "seconds": args.seconds,
-                     "workloads": workloads, "traced_seeds": args.traced_seeds,
-                     "verify_repeats": args.verify_repeats,
+                     "workloads": workloads, "traced_seeds": TRACED_SEEDS,
                      "verify_threads": list(VERIFY_THREADS),
                      "verify_seed": VERIFY_SEED},
         "machine": machine_facts(),
-        "trees": record(trees, seeds, args.seconds, workloads, args.traced_seeds,
-                        args.verify_repeats,
+        "trees": record(trees, seeds, args.seconds, workloads,
                         log=lambda msg: print(msg, file=sys.stderr, flush=True)),
     }
     with open(args.out, "w") as fh:
