@@ -33,8 +33,13 @@ from .vq_analytic import (
 _REL_TOL = 1e-9
 
 # each point of a power sweep costs one symmetric solve (about 0.3 ms) and
-# each point of a boundary trace one rate search (about 1 ms)
+# each point of a boundary trace a share of a batched rate search plus one
+# converse bisection (about 0.15 ms together)
 MAX_SWEEP_POINTS = 1 << 16
+
+# a boundary trace searches its targets in batches of at most this many, so
+# each transient (targets, 64, 64) coarse-grid array stays near 1 MiB
+_TRACE_BATCH = 32
 
 
 def check_sweep_points(points: int) -> None:
@@ -103,22 +108,6 @@ def _rate_axis_cap(c: CanonicalInstance) -> float:
     return max(cap + 3.0, 2.0)
 
 
-def _best_in_window(objective, axis1, axis2, scored):
-    """Smallest objective over the grid axis1 x axis2, as (r1, r2, value).
-
-    scored is distortion_grid over that grid.  Cells outside the region and
-    NaN objectives score +inf.  argmin takes the first minimum in row-major
-    order, the cell a strict-< scan with r1 in the outer loop would keep.
-    """
-    inside, d1, d2 = scored
-    with np.errstate(all="ignore"):
-        val = objective(d1, d2)
-    val = np.where(inside & ~np.isnan(val), val, math.inf)
-    k = int(np.argmin(val))
-    i, j = divmod(k, len(axis2))
-    return float(axis1[i]), float(axis2[j]), float(val[i, j])
-
-
 def _coarse_grid(c: CanonicalInstance, grid: int = 64):
     """The search's coarse grid as (cap, axis, scored): the rate-axis cap,
     a log-spaced axis with zero rate included, and distortion_grid over
@@ -129,33 +118,82 @@ def _coarse_grid(c: CanonicalInstance, grid: int = 64):
     return cap, axis, distortion_grid(c, axis, axis)
 
 
-def _search_rates(c: CanonicalInstance, objective, coarse=None, tol: float = 1e-6):
-    """Minimize an objective over the decodable rate region.
+_ZOOM = 13
+_ZOOM_STEPS = np.arange(float(_ZOOM))
+# row and column of each flat cell of a zoom window, and the two rate
+# axes as a column, to pick each window's best rates with one index
+_ZOOM_CELLS = np.stack(np.divmod(np.arange(_ZOOM * _ZOOM), _ZOOM))
+_RATE_AXES = np.arange(2)[:, None]
 
-    Coarse log-spaced grid (_coarse_grid(c) unless given) followed by
-    repeatedly zooming a 13 x 13 grid onto the incumbent; the window shrinks
-    slower than its own spacing, so ridge minima that need simultaneous
-    moves of both rates stay inside it.  Each grid is scored in one pass:
-    the objective maps the arrays (d1, d2) of scheme distortions over the
-    grid to an array of values, and points outside the region score +inf.
-    A window's best point replaces the incumbent only if strictly smaller.
-    Returns (r1, r2, value); value is +inf if nothing was feasible.
+
+def _zoom_axes(lo, hi):
+    """The _ZOOM-point axes from lo to hi, bitwise np.linspace(lo, hi, _ZOOM)
+    for each pair of ends."""
+    axes = _ZOOM_STEPS * ((hi - lo) / (_ZOOM - 1))[..., None] + lo[..., None]
+    axes[..., -1] = hi
+    return axes
+
+
+def _window_best(objective, live, scored, rows):
+    """Each grid's smallest objective value and its flat row-major index.
+
+    scored is distortion_grid's (inside, d1, d2); objective(d1, d2, live)
+    scores them for the targets live, and rows is np.arange(live.size).
+    Cells outside the region and NaN values score +inf; argmin takes the
+    first minimum in row-major order, the cell a strict-< scan with r1 in
+    the outer loop would keep.
+    """
+    inside, d1, d2 = scored
+    val = objective(d1, d2, live)
+    # val == val is False only where val is NaN
+    val = np.where(inside & (val == val), val, math.inf).reshape(rows.size, -1)
+    k = val.argmin(axis=1)
+    return val[rows, k], k
+
+
+def _search_rates(c: CanonicalInstance, objective, targets: int, coarse=None,
+                  tol: float = 1e-6):
+    """Minimize a batch of objectives over the decodable rate region.
+
+    objective(d1, d2, live) maps arrays of scheme distortions to an array
+    of values with one leading row per target of the index array live;
+    points outside the region score +inf.  The search scores a coarse
+    log-spaced grid (_coarse_grid(c) unless given) shared by all targets,
+    then repeatedly zooms a 13 x 13 grid onto each target's incumbent; the
+    window shrinks slower than its own spacing, so ridge minima that need
+    simultaneous moves of both rates stay inside it.  The round count
+    depends on the rate-axis cap alone, so each round scores every live
+    target's window in one (live, 13, 13) grid.  A window's best point
+    replaces the incumbent only if strictly smaller.  Returns one
+    (r1, r2, value) per target; value is +inf, at rates 0, when nothing was
+    feasible for it.
     """
     cap, axis, scored = _coarse_grid(c) if coarse is None else coarse
-    r1, r2, val = _best_in_window(objective, axis, axis, scored)
-    if not math.isfinite(val):
-        return 0.0, 0.0, math.inf
+    rows = np.arange(targets)
+    with np.errstate(all="ignore"):  # for the objective
+        val, k = _window_best(objective, rows, scored, rows)
+        live = np.flatnonzero(np.isfinite(val))
+        val, k = val[live], k[live]
+        rates = axis[np.stack(np.divmod(k, len(axis)))]  # (2, live)
+        rows = rows[:live.size]
 
-    span = cap / 4.0
-    while span > tol / 2.0:
-        loc1 = np.linspace(max(0.0, r1 - span), min(cap, r1 + span), 13)
-        loc2 = np.linspace(max(0.0, r2 - span), min(cap, r2 + span), 13)
-        a, b, v = _best_in_window(objective, loc1, loc2,
-                                  distortion_grid(c, loc1, loc2))
-        if v < val:
-            r1, r2, val = a, b, v
-        span /= 4.0
-    return r1, r2, val
+        span = cap / 4.0
+        while live.size and span > tol / 2.0:
+            axes = _zoom_axes(np.maximum(rates - span, 0.0),
+                              np.minimum(rates + span, cap))
+            # a lone target's window is scored as a plain 13 x 13 grid,
+            # which numpy broadcasts faster than a (1, 13, 13) one
+            scored = distortion_grid(c, *(axes[:, 0] if live.size == 1 else axes))
+            v, k = _window_best(objective, live, scored, rows)
+            better = v < val
+            np.copyto(rates, axes[_RATE_AXES, rows, _ZOOM_CELLS[:, k]], where=better)
+            np.copyto(val, v, where=better)
+            span /= 4.0
+
+    out = [(0.0, 0.0, math.inf)] * targets
+    for t, r1, r2, v in zip(live.tolist(), *rates.tolist(), val.tolist()):
+        out[t] = (r1, r2, v)
+    return out
 
 
 def best_vq_for_targets(c: CanonicalInstance, d: DistortionPair):
@@ -164,8 +202,8 @@ def best_vq_for_targets(c: CanonicalInstance, d: DistortionPair):
     Returns (rates, distortions, ratio); ratio <= 1 means the scheme meets
     both targets at those rates.
     """
-    r1, r2, ratio = _search_rates(
-        c, lambda d1, d2: np.maximum(d1 / d.d1, d2 / d.d2))
+    (r1, r2, ratio), = _search_rates(
+        c, lambda d1, d2, live: np.maximum(d1 / d.d1, d2 / d.d2), 1)
     rates = make_rate_pair(c, r1, r2)
     return rates, vq_distortions(c, rates), ratio
 
@@ -291,17 +329,18 @@ def trace_region_boundary(c: CanonicalInstance, resolution: int = 64) -> list:
     cap = capacity_term(c)
     unc = uncoded_distortions(c)
     coarse = _coarse_grid(c)
-    points = []
-    for d1 in np.geomspace(1e-4 * c.sigma_sq, c.sigma_sq, resolution):
-        d1 = float(d1)
-        outer_d2 = _min_outer_d2(c, d1, cap)
-        unc_d2 = unc.d2 if unc.d1 <= d1 * (1.0 + _REL_TOL) else math.nan
+    d1s = np.geomspace(1e-4 * c.sigma_sq, c.sigma_sq, resolution)
+    limits = d1s * (1.0 + _REL_TOL)
+    vq_d2s = []
+    for start in range(0, resolution, _TRACE_BATCH):
+        batch = limits[start:start + _TRACE_BATCH, None, None]
 
-        def objective(vq_d1, vq_d2):
-            return np.where(vq_d1 > d1 * (1.0 + _REL_TOL), math.inf, vq_d2)
+        def objective(vq_d1, vq_d2, live):
+            return np.where(vq_d1 > batch[live], math.inf, vq_d2)
 
-        _, _, vq_d2 = _search_rates(c, objective, coarse)
-        points.append(BoundaryPoint(d1=d1, outer_d2=outer_d2,
-                                    uncoded_d2=unc_d2,
-                                    vq_d2=vq_d2 if math.isfinite(vq_d2) else math.nan))
-    return points
+        vq_d2s += [v for _, _, v in _search_rates(c, objective, len(batch), coarse)]
+    return [BoundaryPoint(
+        d1=d1, outer_d2=_min_outer_d2(c, d1, cap),
+        uncoded_d2=unc.d2 if unc.d1 <= d1 * (1.0 + _REL_TOL) else math.nan,
+        vq_d2=vq_d2 if math.isfinite(vq_d2) else math.nan)
+        for d1, vq_d2 in zip(d1s.tolist(), vq_d2s)]

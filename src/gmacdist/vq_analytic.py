@@ -63,10 +63,10 @@ def _corr(rho, q1, q2):
     return rho * np.sqrt((1.0 - q1) * (1.0 - q2))
 
 
-def _limit_args(c: CanonicalInstance, rt):
-    """The single-rate and sum-rate limits are each half the log2 of these."""
+def _limit_args(c: CanonicalInstance, rt, one):
+    """The single-rate and sum-rate limits are each half the log2 of these;
+    one is 1 - rt^2."""
     n = c.noise_var
-    one = 1.0 - rt * rt
     den = n * one
     return ((c.p1 * one + n) / den, (c.p2 * one + n) / den,
             (c.p1 + c.p2 + 2.0 * rt * c.sqrt_p1p2 + n) / den)
@@ -78,11 +78,11 @@ def _inside(r1, r2, limits):
             & (r1 + r2 <= bsum + _REGION_TOL))
 
 
-def _distortions(c: CanonicalInstance, q1, q2, rt):
+def _distortions(c: CanonicalInstance, q1, q2, one):
+    """Both distortions at shares q1, q2; one is 1 - rho_tilde^2."""
     rho2 = c.rho * c.rho
-    denom = 1.0 - rt * rt
-    d1 = c.sigma_sq * q1 * (1.0 - rho2 * (1.0 - q2)) / denom
-    d2 = c.sigma_sq * q2 * (1.0 - rho2 * (1.0 - q1)) / denom
+    d1 = c.sigma_sq * q1 * (1.0 - rho2 * (1.0 - q2)) / one
+    d2 = c.sigma_sq * q2 * (1.0 - rho2 * (1.0 - q1)) / one
     return d1, d2
 
 
@@ -130,7 +130,7 @@ def rate_region_limits(c: CanonicalInstance, rt: float):
     """Single-rate and sum-rate ceilings of the decodable region at a given
     residual correlation.  Raises ValueError when 1 - rt^2 rounds to 0."""
     _require_decodable(rt)
-    return tuple(0.5 * math.log2(a) for a in _limit_args(c, rt))
+    return tuple(0.5 * math.log2(a) for a in _limit_args(c, rt, 1.0 - rt * rt))
 
 
 def in_rate_region(c: CanonicalInstance, rates: RatePair) -> bool:
@@ -152,7 +152,8 @@ def vq_distortions(c: CanonicalInstance, rates: RatePair) -> DistortionPair:
     if not (math.isfinite(rates.r1) and math.isfinite(rates.r2)):
         raise ValueError("rates must be finite")
     _require_decodable(rates.rho_tilde)
-    d1, d2 = _distortions(c, _share(rates.r1), _share(rates.r2), rates.rho_tilde)
+    rt = rates.rho_tilde
+    d1, d2 = _distortions(c, _share(rates.r1), _share(rates.r2), 1.0 - rt * rt)
     return DistortionPair(float(d1), float(d2))
 
 
@@ -160,20 +161,24 @@ def distortion_grid(c: CanonicalInstance, r1: np.ndarray, r2: np.ndarray):
     """Region membership and distortions at every rate pair of the grid
     r1 x r2 (first rate down the rows).
 
-    Returns (inside, d1, d2) as arrays of shape (len(r1), len(r2)); each
-    cell is bitwise what in_rate_region and vq_distortions give for that
-    pair.  Cells where 1 - rho_tilde^2 rounds to 0 count as outside.  The
-    region limits take numpy's log2; a cell whose rate or rate sum lies
-    within _EDGE_BAND of a limit is tested again with libm's.
+    r1 of shape (..., n1) and r2 of shape (..., n2), with the same leading
+    axes, give (inside, d1, d2) as arrays of shape (..., n1, n2): one grid
+    per leading index.  Each cell is bitwise what in_rate_region and
+    vq_distortions give for that pair.  Cells where 1 - rho_tilde^2 rounds
+    to 0 count as outside.  The region limits take numpy's log2; a cell
+    whose rate or rate sum lies within _EDGE_BAND of a limit is tested again
+    with libm's.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    q = _share(np.concatenate((r1, r2)))
-    q1, q2 = q[:r1.size, None], q[None, r1.size:]
-    r1, r2 = r1[:, None], r2[None, :]
+    n1, n2 = r1.shape[-1], r2.shape[-1]
+    q = _share(np.concatenate((r1, r2), axis=-1))
+    q1, q2 = q[..., :n1, None], q[..., None, n1:]
+    r1, r2 = r1[..., :, None], r2[..., None, :]
     rt = _corr(c.rho, q1, q2)
+    one = 1.0 - rt * rt
     with np.errstate(all="ignore"):
-        args = _limit_args(c, rt)
+        args = _limit_args(c, rt, one)
         rates = (r1, r2, r1 + r2)
         edges = [0.5 * _np_log2(a) + _REGION_TOL for a in args]
         # every edge is positive; a cell inside the edges lowered by the band,
@@ -182,15 +187,15 @@ def distortion_grid(c: CanonicalInstance, r1: np.ndarray, r2: np.ndarray):
         high = [x <= e * _BAND_HIGH for x, e in zip(rates, edges)]
         inside = low[0] & low[1] & low[2]
         near = (high[0] & high[1] & high[2]) ^ inside
-        d1, d2 = _distortions(c, q1, q2, rt)
-    cols = inside.shape[1]
+        d1, d2 = _distortions(c, q1, q2, one)
 
     def libm_cell(k):
-        i, j = divmod(k, cols)
-        return _inside(float(r1[i, 0]), float(r2[0, j]),
+        # flat cell k is row k // n2 of the stacked (..., n1) first rates
+        row, j = divmod(k, n2)
+        return _inside(float(r1.flat[row]), float(r2.flat[row // n1 * n2 + j]),
                        [0.5 * math.log2(a.flat[k]) for a in args])
 
-    inside = (1.0 - rt * rt != 0.0) & _libm_near_edge(inside, near, libm_cell)
+    inside = (one != 0.0) & _libm_near_edge(inside, near, libm_cell)
     return inside, d1, d2
 
 
@@ -202,15 +207,23 @@ def vq_bound(c: CanonicalInstance, r1: float, r2: float) -> VqBoundResult:
                          d1=d.d1, d2=d.d2)
 
 
-def _symmetric_rhs_arg(p: float, noise_var: float, rt):
-    """The symmetric rate ceiling is a quarter of the log2 of this."""
-    return (2.0 * p * (1.0 + rt) + noise_var) / (noise_var * (1.0 - rt * rt))
+def _log2_quotient(num: float, den: float) -> float:
+    """log2(num / den); log2(num) - log2(den) where the quotient overflows."""
+    q = num / den
+    if q == math.inf and den > 0.0:
+        return math.log2(num) - math.log2(den)
+    return math.log2(q)
+
+
+def _symmetric_rhs_parts(p: float, noise_var: float, rt):
+    """The symmetric rate ceiling is a quarter of the log2 of num / den."""
+    return 2.0 * p * (1.0 + rt) + noise_var, noise_var * (1.0 - rt * rt)
 
 
 def _symmetric_rhs(rho: float, p: float, noise_var: float, r: float) -> float:
     rt = rho * (1.0 - 2.0 ** (-2.0 * r))
     _require_decodable(rt)
-    return 0.25 * math.log2(_symmetric_rhs_arg(p, noise_var, rt))
+    return 0.25 * _log2_quotient(*_symmetric_rhs_parts(p, noise_var, rt))
 
 
 def _symmetric_distortion(sigma_sq: float, rho: float, r: float) -> float:
@@ -249,8 +262,7 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
         return _symmetric_rhs(rho, p, noise_var, r) - r
 
     if rho < 1.0:
-        hi = 0.25 * math.log2((2.0 * p * (1.0 + rho) + noise_var)
-                              / (noise_var * (1.0 - rho * rho))) + 1.0
+        hi = 0.25 * _log2_quotient(*_symmetric_rhs_parts(p, noise_var, rho)) + 1.0
         hi = max(hi, 1.0)
     else:
         hi = 1.0
@@ -268,7 +280,13 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
     # rho_tilde stays below its value at hi, so no denominator is 0 here
     with np.errstate(all="ignore"):
         rt = rho * (1.0 - _share(xs))
-        gs = 0.25 * _np_log2(_symmetric_rhs_arg(p, noise_var, rt)) - xs
+        num, den = _symmetric_rhs_parts(p, noise_var, rt)
+        q = num / den
+        lg = _np_log2(q)
+        big = q == math.inf  # as in _log2_quotient
+        if big.any():
+            lg[big] = _np_log2(num[big]) - _np_log2(den[big])
+        gs = 0.25 * lg - xs
         near = ~(np.abs(gs) > _EDGE_BAND * (np.abs(xs) + 1.0))  # or NaN
     xs = xs.tolist()
     gs = _libm_near_edge(gs, near, lambda k: g(xs[k])).tolist()

@@ -93,3 +93,65 @@ def test_record_alternates_trees_and_traces_the_first_seeds(monkeypatch):
     assert len(out["b"]["workloads"]["vq-sim"]["runs"]) == 1
     assert out["b"]["verify"] == {"1": {"exit": 0, "criteria_s": {"1": 1.0}},
                                   "4": {"exit": 0, "criteria_s": {"1": 4.0}}}
+
+
+README = '''# tool
+
+```sh
+pip install -e .
+gmacdist bounds --rho 0.5 --d1 0.5 \\
+    --d2 0.5   # a comment
+```
+
+Text with gmacdist uncoded outside a block.
+
+```python
+gmacdist = None
+```
+
+```sh
+gmacdist verify --criteria 1,4  # two criteria
+```
+'''
+
+
+def test_readme_examples_joins_lines_and_drops_comments():
+    assert bench_record.readme_examples(README) == [
+        ["bounds", "--rho", "0.5", "--d1", "0.5", "--d2", "0.5"],
+        ["verify", "--criteria", "1,4"],
+    ]
+
+
+def test_run_examples_times_each_readme_command(tmp_path, monkeypatch):
+    trees = {}
+    for label in ("a", "b"):
+        (tmp_path / label).mkdir()
+        (tmp_path / label / "README.md").write_text(README)
+        trees[label] = tmp_path / label
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((kwargs["env"]["PYTHONPATH"], cmd[3:]))
+        if cmd[3] == "verify" and len(calls) == 2:
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        return subprocess.CompletedProcess(cmd, 1 if cmd[3] == "verify" else 0)
+
+    clock = iter(float(t) for t in range(1000))
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record.time, "perf_counter", lambda: next(clock) ** 2)
+    out = bench_record.run_examples(trees, log=lambda msg: None)
+
+    repeats = bench_record.CLI_REPEATS
+    assert len(calls) == 2 * 2 * repeats
+    # the trees alternate repeat by repeat
+    order = [Path(env).parent.name for env, _ in calls[::2]]
+    assert order[:4] == ["a", "b", "b", "a"]
+    bounds = out["a"]["bounds --rho 0.5 --d1 0.5 --d2 0.5"]
+    assert bounds["exits"] == [0] * repeats
+    assert len(bounds["runs_s"]) == repeats and all(t > 0 for t in bounds["runs_s"])
+    assert bounds["median_s"] == statistics.median(bounds["runs_s"])
+    timed_out = out["a"]["verify --criteria 1,4"]
+    assert timed_out["exits"] == [None] + [1] * (repeats - 1)
+    assert timed_out["error"] == "timed out after 1800 s"
+    assert len(timed_out["runs_s"]) == repeats - 1
+    assert out["b"]["verify --criteria 1,4"]["exits"] == [1] * repeats

@@ -458,11 +458,16 @@ def test_symmetric_solve_at_full_residual_correlation_exits_1(capsys, argv):
     assert err.count("\n") == 1 and "rounds to 1" in err
 
 
-def test_symmetric_solve_without_sign_change_exits_2(capsys):
+def test_symmetric_solve_with_overflowing_quotient_finds_fixed_point(capsys):
+    # 1 - rho^2 is about 2e-12 and the power 1e300, so the ceiling's quotient
+    # (about 2e312) overflows; the solve once gave up with exit 2 here
     code, out, err = run_cli(capsys, "vq-bound", "--rho", "0.999999999999",
                              "--p", "1e300")
-    assert (code, out) == (2, "")
-    assert err.count("\n") == 1 and "failed to converge" in err
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    check_schema(doc, "vq-bound")
+    assert doc["rate"] == pytest.approx(259.36, abs=0.01)
+    assert 0.0 < doc["d1"] == doc["d2"] < 1e-150
 
 
 def test_threads_cap_refuses_without_starting_threads(capsys, monkeypatch):

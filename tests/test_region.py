@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -204,18 +205,22 @@ def test_boundary_rejects_tiny_resolution():
         trace_region_boundary(INST, resolution=1)
 
 
-def _scalar_search(c, objective, grid=64, tol=1e-6):
+def _scalar_search(c, objective, grid=64, tol=1e-6, cache=None):
     """Reference rate search: one scalar evaluation per grid point, the
-    incumbent replaced on strictly smaller values."""
+    incumbent replaced on strictly smaller values.  cache, a dict, keeps
+    each rate pair's scalar distortions (None outside the region) for
+    further searches on the same instance."""
     cap = region._rate_axis_cap(c)
     axis = np.concatenate(([0.0], np.geomspace(1e-3, cap, grid - 1)))
+    cache = {} if cache is None else cache
 
     def score(r1, r2):
-        rates = make_rate_pair(c, r1, r2)
-        if not in_rate_region(c, rates):
-            return math.inf
-        d = vq_distortions(c, rates)
-        return objective(d.d1, d.d2)
+        if (r1, r2) not in cache:
+            rates = make_rate_pair(c, r1, r2)
+            cache[r1, r2] = (vq_distortions(c, rates)
+                             if in_rate_region(c, rates) else None)
+        d = cache[r1, r2]
+        return math.inf if d is None else objective(d.d1, d.d2)
 
     best = (0.0, 0.0, math.inf)
     for r1 in axis.tolist():
@@ -253,16 +258,76 @@ def test_array_search_matches_scalar_reference(c):
     def capped(d1, d2):
         return math.inf if d1 > 0.3 else d2
 
+    def flat(d1, d2):  # ties everywhere: only strictly smaller values move
+        return math.inf if d1 > 0.3 else 1.0
+
     for scalar, array in (
-            (ratio, lambda d1, d2: np.maximum(d1 / d.d1, d2 / d.d2)),
-            (capped, lambda d1, d2: np.where(d1 > 0.3, math.inf, d2))):
-        assert region._search_rates(c, array) == _scalar_search(c, scalar)
+            (ratio, lambda d1, d2, live: np.maximum(d1 / d.d1, d2 / d.d2)),
+            (capped, lambda d1, d2, live: np.where(d1 > 0.3, math.inf, d2)),
+            (flat, lambda d1, d2, live: np.where(d1 > 0.3, math.inf, 1.0))):
+        assert region._search_rates(c, array, 1) == [_scalar_search(c, scalar)]
 
 
 def test_search_with_nothing_feasible_returns_origin():
     c = symmetric_instance(1.0, 0.5, 2.0, 3.0)
-    assert region._search_rates(c, lambda d1, d2: np.full_like(d1, math.nan)) == (
-        0.0, 0.0, math.inf)
+    for targets in (1, 3):
+        assert region._search_rates(
+            c, lambda d1, d2, live: np.full((live.size, *d1.shape[-2:]), math.nan),
+            targets) == [(0.0, 0.0, math.inf)] * targets
+
+
+# The lockstep trace against one scalar search per first target.  The top
+# target d1 = sigma^2 is met at zero rates, so "none feasible" can only hold
+# for a whole batch: at resolution 33 the weak instance's first batch of 32.
+@pytest.mark.parametrize("c, feasible", [
+    (symmetric_instance(1.0, 0.5, 1e6, 1.0), "all"),
+    (CanonicalInstance(1.5, 0.7, 3.0, 0.8, 0.5), "some"),
+    (symmetric_instance(1.0, 0.5, 1e-3, 1.0), "top only"),
+])
+def test_lockstep_trace_matches_scalar_search_per_target(c, feasible):
+    cache = {}
+    for resolution in (2, 8, 33):
+        pts = trace_region_boundary(c, resolution=resolution)
+        met = [not math.isnan(pt.vq_d2) for pt in pts]
+        if feasible == "all":
+            assert all(met)
+        elif feasible == "some":
+            assert 0 < sum(met) < resolution
+        else:
+            assert met == [False] * (resolution - 1) + [True]
+        for pt in pts:
+            limit = pt.d1 * (1.0 + 1e-9)
+            _, _, ref = _scalar_search(
+                c, lambda d1, d2: math.inf if d1 > limit else d2, cache=cache)
+            assert pt.vq_d2 == ref or (math.isnan(pt.vq_d2) and ref == math.inf)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_zoom_axes_equal_linspace(seed):
+    rng = np.random.default_rng(seed)
+    lo = np.concatenate(([0.0, 0.0, 1.0], 10 ** rng.uniform(-8, 2, 200)))
+    span = np.concatenate(([1e-9, 7.5, 0.0], 10 ** rng.uniform(-12, 1, 200)))
+    hi = lo + span
+    axes = region._zoom_axes(lo, hi)
+    for a, b, ax in zip(lo.tolist(), hi.tolist(), axes):
+        assert ax.tobytes() == np.linspace(a, b, 13).tobytes()
+    # the stacked (2, targets) form the search uses
+    two = region._zoom_axes(np.stack((lo, lo)), np.stack((hi, hi)))
+    assert two.tobytes() == np.stack((axes, axes)).tobytes()
+
+
+def test_trace_memory_stays_bounded():
+    # the coarse pass scores (targets, 64, 64) arrays; in batches of 32 they
+    # stay near 1 MiB however many targets the trace has
+    c = symmetric_instance(1.0, 0.5, 4.0, 1.0)
+    tracemalloc.start()
+    try:
+        pts = trace_region_boundary(c, resolution=4096)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(pts) == 4096
+    assert peak < 8 * 2 ** 20
 
 
 def test_rate_axis_cap_rejects_overflow():

@@ -203,18 +203,24 @@ def reference_grid(c, r1, r2):
     return inside, d1, d2
 
 
+def _reference_log2_rhs(p, noise_var, rt):
+    num = 2.0 * p * (1.0 + rt) + noise_var
+    den = noise_var * (1.0 - rt * rt)
+    if num / den == math.inf:  # the quotient overflows, its log2 does not
+        return math.log2(num) - math.log2(den)
+    return math.log2(num / den)
+
+
 def _reference_g(rho, p, noise_var, r):
     q = 2.0 ** (-2.0 * r)
     rt = rho * (1.0 - q)
-    return 0.25 * math.log2((2.0 * p * (1.0 + rt) + noise_var)
-                            / (noise_var * (1.0 - rt * rt))) - r
+    return 0.25 * _reference_log2_rhs(p, noise_var, rt) - r
 
 
 def reference_scan(rho, p, noise_var):
     """The 1,025 scan points and their scalar g."""
     if rho < 1.0:
-        hi = max(0.25 * math.log2((2.0 * p * (1.0 + rho) + noise_var)
-                                  / (noise_var * (1.0 - rho * rho))) + 1.0, 1.0)
+        hi = max(0.25 * _reference_log2_rhs(p, noise_var, rho) + 1.0, 1.0)
     else:
         hi = 1.0
     while _reference_g(rho, p, noise_var, hi) >= 0:
@@ -379,6 +385,63 @@ def test_symmetric_solves_match_reference_under_moved_log2(log2_off):
         sigma_sq = float(10 ** rng.uniform(-1, 1))
         assert (solve_symmetric_rate(sigma_sq, rho, p, n)
                 == reference_solve(sigma_sq, rho, p, n))
+
+
+# (rho, p): 1 - rho^2 so small and p so large that the ceiling's quotient
+# overflows on the way to the fixed point
+OVERFLOWING = [(0.999999999999, 1e300), (1.0 - 1e-15, 1e295), (0.9999999, 1e306)]
+
+
+@log2_offsets
+def test_symmetric_solve_with_overflowing_quotient_matches_reference(log2_off):
+    for rho, p in OVERFLOWING:
+        assert (2.0 * p * (1.0 + rho) + 1.0) / (1.0 - rho * rho) == math.inf
+        r, d = solve_symmetric_rate(1.0, rho, p, 1.0)
+        assert math.isfinite(r) and 0.0 < d < 1.0
+        assert (r, d) == reference_solve(1.0, rho, p, 1.0)
+
+
+def test_symmetric_solve_with_overflowing_quotient_is_the_fixed_point():
+    # 60 digits at the same double inputs; the gap left is 1 - rho^2's
+    # rounding in double precision, about 5e-5 of that factor
+    rho, p = OVERFLOWING[0]
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        rho_m = mpmath.mpf(rho)
+
+        def g(r):
+            rt = rho_m * (1 - mpmath.power(2, -2 * r))
+            return mpmath.log((2 * mpmath.mpf(p) * (1 + rt) + 1) / (1 - rt * rt), 2) / 4 - r
+
+        exact = float(mpmath.findroot(g, 259.36))
+    r, _ = solve_symmetric_rate(1.0, rho, p, 1.0)
+    assert r == pytest.approx(exact, abs=1e-4)
+
+
+@log2_offsets
+def test_batched_grid_equals_stacked_grids(log2_off):
+    # each leading index of a batch is the grid of its own axes; the cells on
+    # the libm limits sit in the last rows, so their re-check maps a flat
+    # index of the batch back to its own rates
+    rng = np.random.default_rng(18)
+    for c in EDGE_INSTANCES:
+        e1, e2, _ = _libm_edges(c, 0.0)
+        r1, sums = _sum_edge_row(c)
+        edge1 = [0.0, *(float(_step(e1, k)) for k in (-1, 0, 1)), r1]
+        edge2 = [0.0, *(float(_step(e2, k)) for k in (-1, 0, 1)), *sums]
+        rand1 = np.sort(rng.uniform(0.0, 2.0 * e1, (5, 5)), axis=1)
+        rand2 = np.sort(rng.uniform(0.0, 2.0 * e2, (5, 7)), axis=1)
+        a1 = np.vstack((rand1, [edge1])).reshape(2, 3, 5)
+        a2 = np.vstack((rand2, [edge2])).reshape(2, 3, 7)
+        got = distortion_grid(c, a1, a2)
+        assert all(g.shape == (2, 3, 5, 7) for g in got)
+        ref = reference_grid(c, edge1, edge2)
+        assert got[0][1, 2].tolist() == ref[0].tolist()
+        for i in range(2):
+            for j in range(3):
+                one = distortion_grid(c, a1[i, j], a2[i, j])
+                for g, o in zip(got, one):
+                    assert g[i, j].tobytes() == o.tobytes()
 
 
 def test_symmetric_solve_refuses_full_residual_correlation():

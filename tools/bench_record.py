@@ -18,13 +18,16 @@ checkout the file records:
   traced run, and the median of its per-layer metrics;
 - ``gmacdist verify --timings`` at ``--threads`` 1 and 4 (seed 7), run
   once each: each criterion's seconds;
+- each ``gmacdist`` command of the checkout's README.md sh blocks, run as
+  ``python3 -m gmacdist`` in a subprocess 5 times: every wall time in
+  seconds, their median and the exit statuses;
 - the commit checked out and whether the tree had uncommitted changes.
 
 The machine facts are recorded once: ``nproc``, Python, numpy, the BLAS
 library with its core and default thread count, and
 ``OPENBLAS_NUM_THREADS``.  The runs alternate between the checkouts seed by
-seed, reversing the order on every other seed, so the drift of a shared host
-falls on all of them alike.  Only the benchmark's own processes are timed;
+seed (and README example runs repeat by repeat), reversing the order on
+every other one, so the drift of a shared host falls on all of them alike.  Only the benchmark's own processes are timed;
 no machine setting is changed.
 """
 from __future__ import annotations
@@ -37,9 +40,11 @@ import json
 import os
 import platform
 import re
+import shlex
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("analytic", "vq-sim", "uncoded-sim")
@@ -47,7 +52,9 @@ VERIFY_THREADS = (1, 4)
 VERIFY_SEED = 7
 DEFAULT_SEEDS = 3
 TRACED_SEEDS = 3
+CLI_REPEATS = 5
 _CRITERION = re.compile(r"^criterion (\d+): ([0-9.]+) s$")
+_SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.S | re.M)
 
 
 def blas_facts() -> dict:
@@ -171,6 +178,59 @@ def run_verify(path: Path, threads: int) -> dict:
     return {"exit": proc.returncode, "criteria_s": parse_timings(proc.stderr)}
 
 
+def readme_examples(text: str) -> list:
+    """The gmacdist command lines of a README's sh blocks, as argument lists
+    after the program name; continuation lines are joined and comments
+    dropped."""
+    examples = []
+    for block in _SH_BLOCK.findall(text):
+        for line in block.replace("\\\n", " ").splitlines():
+            argv = shlex.split(line, comments=True)
+            if argv[:1] == ["gmacdist"]:
+                examples.append(argv[1:])
+    return examples
+
+
+def run_example(path: Path, args: list) -> dict:
+    """One README example, run once: its wall time and exit status."""
+    env = dict(os.environ, PYTHONPATH=str(path / "src"))
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run([sys.executable, "-m", "gmacdist", *args],
+                              capture_output=True, env=env, timeout=1800)
+    except subprocess.TimeoutExpired as e:
+        return {"exit": None, "error": f"timed out after {e.timeout} s"}
+    return {"exit": proc.returncode, "s": time.perf_counter() - start}
+
+
+def run_examples(trees: dict, log=print) -> dict:
+    """label -> {command line: its runs' seconds, median and exits} for each
+    README example of each checkout, CLI_REPEATS runs each."""
+    out = {}
+    for label, path in trees.items():
+        readme = path / "README.md"
+        examples = readme_examples(readme.read_text()) if readme.is_file() else []
+        out[label] = {shlex.join(args): {"args": args, "runs_s": [], "exits": []}
+                      for args in examples}
+    labels = list(trees)
+    for n in range(CLI_REPEATS):
+        for label in (labels if n % 2 == 0 else labels[::-1]):
+            for entry in out[label].values():
+                run = run_example(trees[label], entry["args"])
+                entry["exits"].append(run["exit"])
+                if "s" in run:
+                    entry["runs_s"].append(run["s"])
+                else:
+                    entry["error"] = run["error"]
+            log(f"{label} README examples, run {n + 1} of {CLI_REPEATS}")
+    for examples in out.values():
+        for entry in examples.values():
+            del entry["args"]
+            entry["median_s"] = (statistics.median(entry["runs_s"])
+                                 if entry["runs_s"] else None)
+    return out
+
+
 def summarize_runs(runs: list, key: str) -> dict:
     names = sorted({k for r in runs for k in r.get(key, {})})
     return {k: summarize([r[key][k] for r in runs if k in r.get(key, {})])
@@ -206,6 +266,8 @@ def record(trees: dict, seeds: list, seconds: float, workloads: dict,
             res = run_verify(trees[label], threads)
             log(f"{label} verify --threads {threads}: exit {res['exit']}")
             out[label]["verify"][str(threads)] = res
+    for label, examples in run_examples(trees, log).items():
+        out[label]["cli"] = examples
     return out
 
 
@@ -243,7 +305,7 @@ def main(argv=None) -> int:
         "settings": {"seeds": seeds, "seconds": args.seconds,
                      "workloads": workloads, "traced_seeds": TRACED_SEEDS,
                      "verify_threads": list(VERIFY_THREADS),
-                     "verify_seed": VERIFY_SEED},
+                     "verify_seed": VERIFY_SEED, "cli_repeats": CLI_REPEATS},
         "machine": machine_facts(),
         "trees": record(trees, seeds, args.seconds, workloads,
                         log=lambda msg: print(msg, file=sys.stderr, flush=True)),
