@@ -155,9 +155,9 @@ def _search_rates(c: CanonicalInstance, objective, targets: int, coarse=None,
                   tol: float = 1e-6):
     """Minimize a batch of objectives over the decodable rate region.
 
-    objective(d1, d2, live) maps arrays of scheme distortions to an array
-    of values with one leading row per target of the index array live;
-    points outside the region score +inf.  The search scores a coarse
+    objective(d1, d2, live) scores arrays of scheme distortions for the
+    targets of the index array live, as values that reshape to one row per
+    live target; points outside the region score +inf.  The search scores a coarse
     log-spaced grid (_coarse_grid(c) unless given) shared by all targets,
     then repeatedly zooms a 13 x 13 grid onto each target's incumbent; the
     window shrinks slower than its own spacing, so ridge minima that need

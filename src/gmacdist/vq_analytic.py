@@ -207,23 +207,21 @@ def vq_bound(c: CanonicalInstance, r1: float, r2: float) -> VqBoundResult:
                          d1=d.d1, d2=d.d2)
 
 
-def _log2_quotient(num: float, den: float) -> float:
-    """log2(num / den); log2(num) - log2(den) where the quotient overflows."""
+def _log2_rhs(p: float, noise_var: float, rt: float) -> float:
+    """log2 of the symmetric rate ceiling's argument num / den, taken as
+    log2(num) - log2(den) where that quotient overflows."""
+    num = 2.0 * p * (1.0 + rt) + noise_var
+    den = noise_var * (1.0 - rt * rt)
     q = num / den
     if q == math.inf and den > 0.0:
         return math.log2(num) - math.log2(den)
     return math.log2(q)
 
 
-def _symmetric_rhs_parts(p: float, noise_var: float, rt):
-    """The symmetric rate ceiling is a quarter of the log2 of num / den."""
-    return 2.0 * p * (1.0 + rt) + noise_var, noise_var * (1.0 - rt * rt)
-
-
 def _symmetric_rhs(rho: float, p: float, noise_var: float, r: float) -> float:
     rt = rho * (1.0 - 2.0 ** (-2.0 * r))
     _require_decodable(rt)
-    return 0.25 * _log2_quotient(*_symmetric_rhs_parts(p, noise_var, rt))
+    return 0.25 * _log2_rhs(p, noise_var, rt)
 
 
 def _symmetric_distortion(sigma_sq: float, rho: float, r: float) -> float:
@@ -262,7 +260,7 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
         return _symmetric_rhs(rho, p, noise_var, r) - r
 
     if rho < 1.0:
-        hi = 0.25 * _log2_quotient(*_symmetric_rhs_parts(p, noise_var, rho)) + 1.0
+        hi = 0.25 * _log2_rhs(p, noise_var, rho) + 1.0
         hi = max(hi, 1.0)
     else:
         hi = 1.0
@@ -280,10 +278,11 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
     # rho_tilde stays below its value at hi, so no denominator is 0 here
     with np.errstate(all="ignore"):
         rt = rho * (1.0 - _share(xs))
-        num, den = _symmetric_rhs_parts(p, noise_var, rt)
+        num = 2.0 * p * (1.0 + rt) + noise_var
+        den = noise_var * (1.0 - rt * rt)
         q = num / den
         lg = _np_log2(q)
-        big = q == math.inf  # as in _log2_quotient
+        big = q == math.inf  # as in _log2_rhs
         if big.any():
             lg[big] = _np_log2(num[big]) - _np_log2(den[big])
         gs = 0.25 * lg - xs
