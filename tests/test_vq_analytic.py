@@ -402,8 +402,7 @@ def test_symmetric_solve_with_overflowing_quotient_matches_reference(log2_off):
 
 
 def test_symmetric_solve_with_overflowing_quotient_is_the_fixed_point():
-    # 60 digits at the same double inputs; the gap left is 1 - rho^2's
-    # rounding in double precision, about 5e-5 of that factor
+    # the fixed point to 60 digits at the same double inputs
     rho, p = OVERFLOWING[0]
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
@@ -415,7 +414,7 @@ def test_symmetric_solve_with_overflowing_quotient_is_the_fixed_point():
 
         exact = float(mpmath.findroot(g, 259.36))
     r, _ = solve_symmetric_rate(1.0, rho, p, 1.0)
-    assert r == pytest.approx(exact, abs=1e-4)
+    assert r == pytest.approx(exact, abs=1e-9)
 
 
 @log2_offsets
