@@ -1,92 +1,30 @@
 """Distortion bounds for correlated Gaussian sources on a two-user Gaussian
 multiple-access channel: converse and achievable regions, uncoded and
-vector-quantized transmission, and seeded Monte Carlo validation."""
+vector-quantized transmission, and seeded Monte Carlo validation.
 
+The package exports the names the README's Library section uses; every
+other name is imported from its module, for example
+gmacdist.vq_sim.simulate_vq.
+"""
+
+# every layer module stays an attribute of the package, as gmacdist.vq_sim
+from . import acceptance, model, rd_bounds, region, uncoded, vq_analytic, vq_sim
 from .model import (
-    CanonicalInstance,
     DistortionPair,
     ProblemInstance,
-    SampleBatch,
     canonicalize,
-    canonicalize_distortion,
     decanonicalize_distortion,
-    derive_seed,
-    sample_source_and_noise,
     symmetric_instance,
 )
-from .rd_bounds import (
-    ConvergenceError,
-    OuterBoundResult,
-    RdCase,
-    RdCaseTag,
-    capacity_term,
-    check_necessary_condition,
-    classify_case,
-    rd_rate,
-    symmetric_outer_bound,
-    waterfill_oracle_rate,
-)
-from .uncoded import (
-    UncodedResult,
-    UncodedSimResult,
-    optimality_threshold,
-    simulate_uncoded,
-    symmetric_uncoded_bound,
-    uncoded_distortions,
-)
-from .vq_analytic import (
-    RatePair,
-    VqBoundResult,
-    high_snr_asymptote,
-    in_rate_region,
-    make_rate_pair,
-    rate_region_limits,
-    rho_tilde,
-    solve_symmetric_rate,
-    vq_bound,
-    vq_distortions,
-)
-from .vq_sim import (
-    Codebook,
-    CodebookSizeError,
-    VqTrialStats,
-    decode,
-    encode,
-    generate_codebook,
-    reconstruction_coefficients,
-    simulate_vq,
-)
-from .region import (
-    BoundaryPoint,
-    PointVerdict,
-    SweepRow,
-    Verdict,
-    best_vq_for_targets,
-    convexify,
-    snr_sweep,
-    trace_region_boundary,
-    verdict,
-)
-from .acceptance import CriterionResult, format_report, run_all
+from .region import verdict
+from .uncoded import simulate_uncoded, uncoded_distortions
+from .vq_analytic import solve_symmetric_rate
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalInstance", "DistortionPair", "ProblemInstance", "SampleBatch",
-    "canonicalize", "canonicalize_distortion", "decanonicalize_distortion",
-    "derive_seed", "sample_source_and_noise", "symmetric_instance",
-    "ConvergenceError", "OuterBoundResult", "RdCase", "RdCaseTag",
-    "capacity_term", "check_necessary_condition", "classify_case", "rd_rate",
-    "symmetric_outer_bound", "waterfill_oracle_rate",
-    "UncodedResult", "UncodedSimResult", "optimality_threshold",
-    "simulate_uncoded", "symmetric_uncoded_bound", "uncoded_distortions",
-    "RatePair", "VqBoundResult", "high_snr_asymptote", "in_rate_region",
-    "make_rate_pair", "rate_region_limits", "rho_tilde",
-    "solve_symmetric_rate", "vq_bound", "vq_distortions",
-    "Codebook", "CodebookSizeError", "VqTrialStats", "decode", "encode",
-    "generate_codebook", "reconstruction_coefficients", "simulate_vq",
-    "BoundaryPoint", "PointVerdict", "SweepRow", "Verdict", "best_vq_for_targets",
-    "convexify", "snr_sweep", "trace_region_boundary", "verdict",
-    "CriterionResult", "format_report", "run_all",
+    "DistortionPair", "ProblemInstance", "canonicalize",
+    "decanonicalize_distortion", "symmetric_instance", "verdict",
+    "uncoded_distortions", "solve_symmetric_rate", "simulate_uncoded",
     "__version__",
 ]

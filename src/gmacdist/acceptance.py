@@ -253,7 +253,7 @@ _CRITERIA = (
 def run_all(seed: int = DEFAULT_SEED, threads: int = 1,
             criteria=None) -> list:
     """Run the numbered checks and return one result per criterion.  Raises
-    ValueError, before any check runs, when threads is above MAX_THREADS."""
+    ValueError, before any check runs, when threads is outside [1, MAX_THREADS]."""
     check_threads(threads)
     wanted = None if criteria is None else set(criteria)
     if wanted is not None:

@@ -39,14 +39,13 @@ from .vq_analytic import (
     in_rate_region,
     make_rate_pair,
     solve_symmetric_rate,
-    vq_bound,
     vq_distortions,
 )
 from .vq_sim import simulate_vq
 
 
-class CliError(Exception):
-    """Bad flags or values; maps to exit status 1."""
+class CliError(ValueError):
+    """Bad flags or values; maps to exit status 1, as every ValueError does."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -87,10 +86,7 @@ def _add_instance_flags(sp):
                     help="channel noise variance (default 1)")
 
 
-def _add_output_flags(sp, fmt_choices=("json",)):
-    if fmt_choices:
-        sp.add_argument("--format", choices=fmt_choices, default=fmt_choices[0],
-                        help="output format")
+def _add_output_flag(sp):
     sp.add_argument("--output", default=None,
                     help="write to this path instead of stdout")
 
@@ -103,11 +99,8 @@ def _instance_from_args(args) -> ProblemInstance:
     p1 = base_p if args.p1 is None else args.p1
     p2 = base_p if args.p2 is None else args.p2
     noise = 1.0 if args.noise is None else args.noise
-    try:
-        return ProblemInstance(sigma1_sq=v1, sigma2_sq=v2, rho=args.rho,
-                               p1=p1, p2=p2, noise_var=noise)
-    except ValueError as e:
-        raise CliError(str(e))
+    return ProblemInstance(sigma1_sq=v1, sigma2_sq=v2, rho=args.rho,
+                           p1=p1, p2=p2, noise_var=noise)
 
 
 def _jsonable(obj):
@@ -127,9 +120,8 @@ def _jsonable(obj):
 
 
 def _emit(args, text: str):
-    out = getattr(args, "output", None)
-    if out:
-        with open(out, "w") as fh:
+    if args.output:
+        with open(args.output, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -228,13 +220,14 @@ def _cmd_vq_bound(args) -> int:
     if (args.r1 is None) != (args.r2 is None):
         raise CliError("--r1 and --r2 must be given together")
     if args.r1 is not None:
-        res = vq_bound(c, args.r1, args.r2)
+        rates = make_rate_pair(c, args.r1, args.r2)
+        d = vq_distortions(c, rates)
         out.update({
             "mode": "pair",
             "r1": args.r1, "r2": args.r2,
-            "rho_tilde": res.rates.rho_tilde,
-            "in_region": res.in_region,
-            "d1": res.d1, "d2": res.d2 * c.scale2,
+            "rho_tilde": rates.rho_tilde,
+            "in_region": in_rate_region(c, rates),
+            "d1": d.d1, "d2": d.d2 * c.scale2,
             "rate": None,
         })
     else:
@@ -328,10 +321,7 @@ def _cmd_sweep(args) -> int:
                        "noise variance 1; drop --p/--p1/--p2/--noise")
     if not 0 < sigma_sq < math.inf:
         raise CliError("source variance must be positive and finite")
-    try:
-        rows = snr_sweep(sigma_sq, abs(args.rho), _parse_grid(args.snr_grid))
-    except ValueError as e:
-        raise CliError(str(e))
+    rows = snr_sweep(sigma_sq, abs(args.rho), _parse_grid(args.snr_grid))
     if args.convexify:
         rows = convexify(rows)
     _emit_table(args, SweepRow._fields, rows)
@@ -346,10 +336,7 @@ def _cmd_verify(args) -> int:
         except ValueError:
             raise CliError(f"--criteria expects comma-separated integers, "
                            f"got {args.criteria!r}")
-    try:
-        results = run_all(seed=args.seed, threads=args.threads, criteria=criteria)
-    except ValueError as e:
-        raise CliError(str(e))
+    results = run_all(seed=args.seed, threads=args.threads, criteria=criteria)
     _emit(args, format_report(results, args.seed))
     if args.timings:
         for r in results:
@@ -375,12 +362,12 @@ def build_parser() -> argparse.ArgumentParser:
     _add_instance_flags(sp)
     sp.add_argument("--d1", type=float, required=True, help="target MSE 1")
     sp.add_argument("--d2", type=float, required=True, help="target MSE 2")
-    _add_output_flags(sp)
+    _add_output_flag(sp)
     sp.set_defaults(handler=_cmd_bounds)
 
     sp = sub.add_parser("uncoded", help="closed-form uncoded distortions")
     _add_instance_flags(sp)
-    _add_output_flags(sp)
+    _add_output_flag(sp)
     sp.set_defaults(handler=_cmd_uncoded)
 
     sp = sub.add_parser("simulate-uncoded", help="Monte Carlo uncoded run")
@@ -388,14 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--trials", type=int, default=100_000)
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--threads", type=int, default=1)
-    _add_output_flags(sp)
+    _add_output_flag(sp)
     sp.set_defaults(handler=_cmd_simulate_uncoded)
 
     sp = sub.add_parser("vq-bound", help="quantizer-scheme distortion bound")
     _add_instance_flags(sp)
     sp.add_argument("--r1", type=float, default=None, help="rate 1, bits/symbol")
     sp.add_argument("--r2", type=float, default=None, help="rate 2, bits/symbol")
-    _add_output_flags(sp)
+    _add_output_flag(sp)
     sp.set_defaults(handler=_cmd_vq_bound)
 
     sp = sub.add_parser("simulate-vq", help="end-to-end quantizer simulation")
@@ -408,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="half-width of the codeword correlation window")
     sp.add_argument("--seed", type=int, default=None)
     sp.add_argument("--threads", type=int, default=1)
-    _add_output_flags(sp)
+    _add_output_flag(sp)
     sp.set_defaults(handler=_cmd_simulate_vq)
 
     sp = sub.add_parser("sweep", help="power sweep or region boundary trace")
@@ -422,7 +409,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="trace the distortion-region boundary instead")
     sp.add_argument("--resolution", type=int, default=64,
                     help="points on the boundary trace")
-    _add_output_flags(sp, fmt_choices=("csv", "json"))
+    sp.add_argument("--format", choices=("csv", "json"), default="csv",
+                    help="output format")
+    _add_output_flag(sp)
     sp.set_defaults(handler=_cmd_sweep)
 
     sp = sub.add_parser("verify", help="run the acceptance checks")
@@ -432,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="comma-separated criterion numbers (default: all)")
     sp.add_argument("--timings", action="store_true",
                     help="print each criterion's wall time to stderr")
-    _add_output_flags(sp, fmt_choices=())
+    _add_output_flag(sp)
     sp.set_defaults(handler=_cmd_verify)
 
     return parser
@@ -444,18 +433,11 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) is None:
             args.seed = seed
-        if getattr(args, "threads", 1) < 1:
-            raise CliError("--threads must be at least 1")
-        if getattr(args, "trials", 1) < 1:
-            raise CliError("--trials must be at least 1")
         return args.handler(args)
-    except CliError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 1
     except ConvergenceError as e:
         print(f"error: failed to converge: {e}", file=sys.stderr)
         return 2
-    except ValueError as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     except MemoryError as e:

@@ -39,21 +39,19 @@ MAX_THREADS = 256
 
 
 def check_threads(threads: int) -> None:
-    """Refuse, before any thread starts, a thread count above MAX_THREADS."""
+    """Refuse, before any thread starts, a thread count outside [1, MAX_THREADS]."""
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     if threads > MAX_THREADS:
         raise ValueError(f"threads must be at most {MAX_THREADS}, got {threads}")
 
 
-def pool_size(threads: int, items: int) -> int:
-    """Worker threads for a pool over items work items: never more than items."""
-    return min(threads, items)
-
-
 def run_pooled(fn, items: int, threads: int) -> None:
     """Call fn(k) for every k in range(items), on a thread pool when more
-    than one worker would have work.  fn writes its own result slots, so the
-    outcome does not depend on the pool size."""
-    workers = pool_size(threads, items)
+    than one worker would have work; the pool never has more workers than
+    items.  fn writes its own result slots, so the outcome does not depend
+    on the pool size."""
+    workers = min(threads, items)
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(fn, range(items)))

@@ -93,7 +93,7 @@ def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
     result is bitwise identical for any thread count.  Raises
     TrialCountError, before allocating, when the chunk sums would need more
     than MAX_TRIAL_BYTES (above 2^37 trials), and ValueError when threads
-    is above MAX_THREADS.
+    is outside [1, MAX_THREADS].
     """
     if trials < 1:
         raise ValueError("need at least one trial")

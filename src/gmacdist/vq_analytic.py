@@ -27,18 +27,6 @@ _BAND_LOW, _BAND_HIGH = 1.0 - _EDGE_BAND, 1.0 + _EDGE_BAND
 _np_log2 = np.log2  # one name, so tests can move numpy's log2 by a few ulps
 
 
-def _libm(fn, x):
-    """Apply a scalar math function elementwise, returning an array.
-
-    numpy's vectorized power differs from libm in the last bit on several
-    percent of inputs, and those bits reach printed distortions; going
-    through libm keeps the array forms below bitwise equal to scalar
-    evaluation.  log2 is taken with numpy and checked with _libm_near_edge.
-    """
-    x = np.asarray(x, dtype=float)
-    return np.fromiter(map(fn, x.ravel().tolist()), float, x.size).reshape(x.shape)
-
-
 def _libm_near_edge(fast, near, exact):
     """fast, with exact(k) in place of each flat entry k where near holds.
 
@@ -55,8 +43,16 @@ _pow2 = functools.partial(pow, 2.0)
 
 
 def _share(r):
-    """2^-2r, the share of source variance a rate-r quantizer leaves."""
-    return _libm(_pow2, -2.0 * np.asarray(r, dtype=float))
+    """2^-2r, the share of source variance a rate-r quantizer leaves, as an
+    array of r's shape.
+
+    Each entry is libm's pow: numpy's vectorized power differs from libm in
+    the last bit on several percent of inputs, and those bits reach printed
+    distortions, so the array forms stay bitwise equal to scalar evaluation.
+    log2 is taken with numpy and checked with _libm_near_edge.
+    """
+    x = -2.0 * np.asarray(r, dtype=float)
+    return np.fromiter(map(_pow2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def _corr(rho, q1, q2):
@@ -116,14 +112,6 @@ class RatePair:
 
 def make_rate_pair(c: CanonicalInstance, r1: float, r2: float) -> RatePair:
     return RatePair(r1=r1, r2=r2, rho_tilde=rho_tilde(c.rho, r1, r2))
-
-
-@dataclass(frozen=True)
-class VqBoundResult:
-    rates: RatePair
-    in_region: bool
-    d1: float
-    d2: float
 
 
 def rate_region_limits(c: CanonicalInstance, rt: float):
@@ -199,14 +187,6 @@ def distortion_grid(c: CanonicalInstance, r1: np.ndarray, r2: np.ndarray):
     return inside, d1, d2
 
 
-def vq_bound(c: CanonicalInstance, r1: float, r2: float) -> VqBoundResult:
-    """Region membership and distortions for an explicit rate pair."""
-    rates = make_rate_pair(c, r1, r2)
-    d = vq_distortions(c, rates)
-    return VqBoundResult(rates=rates, in_region=in_rate_region(c, rates),
-                         d1=d.d1, d2=d.d2)
-
-
 def _log2_rhs(p: float, noise_var: float, rt: float) -> float:
     """log2 of the symmetric rate ceiling's argument num / den, taken as
     log2(num) - log2(den) where that quotient overflows."""
@@ -216,18 +196,6 @@ def _log2_rhs(p: float, noise_var: float, rt: float) -> float:
     if q == math.inf and den > 0.0:
         return math.log2(num) - math.log2(den)
     return math.log2(q)
-
-
-def _symmetric_rhs(rho: float, p: float, noise_var: float, r: float) -> float:
-    rt = rho * (1.0 - 2.0 ** (-2.0 * r))
-    _require_decodable(rt)
-    return 0.25 * _log2_rhs(p, noise_var, rt)
-
-
-def _symmetric_distortion(sigma_sq: float, rho: float, r: float) -> float:
-    q = 2.0 ** (-2.0 * r)
-    rt = rho * (1.0 - q)
-    return sigma_sq * q * (1.0 - rho * rt) / (1.0 - rt * rt)
 
 
 def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float,
@@ -257,7 +225,9 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
         return 0.0, sigma_sq
 
     def g(r):
-        return _symmetric_rhs(rho, p, noise_var, r) - r
+        rt = rho * (1.0 - 2.0 ** (-2.0 * r))
+        _require_decodable(rt)
+        return 0.25 * _log2_rhs(p, noise_var, rt) - r
 
     if rho < 1.0:
         hi = 0.25 * _log2_rhs(p, noise_var, rho) + 1.0
@@ -307,7 +277,9 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
         raise ConvergenceError("symmetric rate bisection did not converge")
 
     r = 0.5 * (left + right)
-    return r, _symmetric_distortion(sigma_sq, rho, r)
+    q = 2.0 ** (-2.0 * r)
+    rt = rho * (1.0 - q)
+    return r, sigma_sq * q * (1.0 - rho * rt) / (1.0 - rt * rt)
 
 
 def high_snr_asymptote(sigma_sq: float, rho: float) -> float:

@@ -81,16 +81,17 @@ def generate_codebook(n: int, rate: float, sigma_sq: float, seed: int) -> Codebo
 
     Words are IID Gaussian vectors normalized onto the sphere of radius
     sqrt(n * sigma_sq * (1 - 2^-2rate)).  Rate zero yields the single
-    all-zero word.  Raises CodebookSizeError, before allocating anything,
-    above 2^22 words or 256 MiB of words.  Rows are drawn in blocks of about
+    all-zero word.  Raises ValueError for a negative or non-finite rate, and
+    CodebookSizeError, before allocating anything, above 2^22 words or
+    256 MiB of words.  Rows are drawn in blocks of about
     _FILL_BLOCK_BYTES, each normalized and scaled in place while it is still
     in cache; the generator's stream, and so every word, is that of one
     (m, n) draw, and the codebook costs that one array.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
-    if rate < 0:
-        raise ValueError("rate must be nonnegative")
+    if not 0 <= rate < math.inf:
+        raise ValueError(f"rate must be nonnegative and finite, got {rate}")
     bits = math.ceil(n * rate)
     if bits > MAX_CODEBOOK_BITS:
         raise CodebookSizeError(
@@ -366,12 +367,15 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
     correlated with the channel outputs by one GEMM, and each trial is then
     decoded from its own row.  Raises TrialCountError, before allocating,
     when the per-trial results would need more than MAX_TRIAL_BYTES (above
-    2^20 trials), and ValueError when threads is above MAX_THREADS.
+    2^20 trials), and ValueError, before the region check, for non-finite
+    rates, a window outside [0, inf) or threads outside [1, MAX_THREADS].
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if delta_typ < 0:
-        raise ValueError("correlation window must be nonnegative")
+    if not (math.isfinite(rates.r1) and math.isfinite(rates.r2)):
+        raise ValueError("rates must be finite")
+    if not 0 <= delta_typ < math.inf:
+        raise ValueError("correlation window must be nonnegative and finite")
     check_trial_bytes(trials, trials * _TRIAL_RESULT_BYTES)
     check_threads(threads)
     if not in_rate_region(c, rates):

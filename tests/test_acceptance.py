@@ -10,8 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from gmacdist import format_report, run_all
-from gmacdist.acceptance import DEFAULT_SEED
+from gmacdist.acceptance import DEFAULT_SEED, format_report, run_all
 
 GOLDEN_REPORT = Path(__file__).resolve().parent / "golden" / "verify-seed7.txt"
 

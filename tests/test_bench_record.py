@@ -77,6 +77,8 @@ def test_record_alternates_trees_and_traces_the_first_seeds(monkeypatch):
     monkeypatch.setattr(bench_record, "run_bench", fake_bench)
     monkeypatch.setattr(bench_record, "run_verify", lambda path, threads: {
         "exit": 0, "criteria_s": {"1": float(threads)}})
+    monkeypatch.setattr(bench_record, "run_tier1",
+                        lambda path: {"exit": 0, "tree": str(path)})
     seeds = list(range(10, 10 + bench_record.TRACED_SEEDS + 1))
     out = bench_record.record({"a": Path("A"), "b": Path("B")}, seeds, 1.0,
                               {"analytic": len(seeds), "vq-sim": 1},
@@ -93,6 +95,7 @@ def test_record_alternates_trees_and_traces_the_first_seeds(monkeypatch):
     assert len(out["b"]["workloads"]["vq-sim"]["runs"]) == 1
     assert out["b"]["verify"] == {"1": {"exit": 0, "criteria_s": {"1": 1.0}},
                                   "4": {"exit": 0, "criteria_s": {"1": 4.0}}}
+    assert [out[label]["tier1"]["tree"] for label in "ab"] == ["A", "B"]
 
 
 README = '''# tool
@@ -155,3 +158,55 @@ def test_run_examples_times_each_readme_command(tmp_path, monkeypatch):
     assert timed_out["error"] == "timed out after 1800 s"
     assert len(timed_out["runs_s"]) == repeats - 1
     assert out["b"]["verify --criteria 1,4"]["exits"] == [1] * repeats
+
+
+TIER1_OUT = """\
+........................................................................ [ 21%]
+.F.....E.......s........................................................ [ 43%]
+============================= slowest 5 durations ==============================
+7.41s call     tests/test_acceptance.py::test_verify_reports_are_byte_identical_across_threads
+4.70s setup    tests/test_acceptance.py::test_criterion[1]
+2.38s call     tests/test_golden.py::test_verify_simulation_criteria_match_golden[a b]
+=========================== short test summary info ============================
+FAILED tests/test_cli.py::test_x - assert 1 == 0
+ERROR tests/test_cli.py::test_y - RuntimeError
+1 failed, 335 passed, 1 skipped, 2 warnings, 1 error in 31.02s
+"""
+
+
+def test_parse_tier1_reads_counts_and_slowest_phases():
+    got = bench_record.parse_tier1(TIER1_OUT)
+    assert got["counts"] == {"failed": 1, "passed": 335, "skipped": 1,
+                             "warning": 2, "error": 1}
+    assert got["slowest"] == [
+        [7.41, "call", "tests/test_acceptance.py::"
+                       "test_verify_reports_are_byte_identical_across_threads"],
+        [4.7, "setup", "tests/test_acceptance.py::test_criterion[1]"],
+        [2.38, "call", "tests/test_golden.py::"
+                       "test_verify_simulation_criteria_match_golden[a b]"],
+    ]
+    assert bench_record.parse_tier1("339 passed in 75.20s (0:01:15)\n") == {
+        "counts": {"passed": 339}, "slowest": []}
+
+
+def test_run_tier1_times_the_suite_in_the_checkout(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(cmd, **kwargs):
+        calls.append((cmd, kwargs))
+        if len(calls) == 2:
+            raise subprocess.TimeoutExpired(cmd, kwargs["timeout"])
+        return subprocess.CompletedProcess(cmd, 1, stdout=TIER1_OUT, stderr="")
+
+    clock = iter([10.0, 41.5, 50.0])
+    monkeypatch.setattr(bench_record.subprocess, "run", fake_run)
+    monkeypatch.setattr(bench_record.time, "perf_counter", lambda: next(clock))
+    res = bench_record.run_tier1(tmp_path)
+    cmd, kwargs = calls[0]
+    assert cmd[1:] == ["-m", "pytest", "-q", "--continue-on-collection-errors",
+                       f"--durations={bench_record.TIER1_SLOWEST}"]
+    assert kwargs["cwd"] == tmp_path
+    assert kwargs["env"]["PYTHONPATH"] == str(tmp_path / "src")
+    assert res == {"exit": 1, "s": 31.5, **bench_record.parse_tier1(TIER1_OUT)}
+    assert bench_record.run_tier1(tmp_path) == {
+        "exit": None, "error": "timed out after 1800 s"}

@@ -5,13 +5,14 @@ import sys
 import threading
 import time
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
 
 import gmacdist.cli as cli
-from gmacdist import ConvergenceError
 from gmacdist.model import MAX_THREADS
+from gmacdist.rd_bounds import ConvergenceError
 from gmacdist.region import MAX_SWEEP_POINTS
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -195,6 +196,19 @@ def test_simulate_vq_output(capsys):
     assert 0 <= doc["decode_error_count"] <= 30
 
 
+@pytest.mark.parametrize("flags", [
+    ("--r1", "inf"), ("--r1", "nan"), ("--delta-typ", "nan"), ("--delta-typ", "inf"),
+])
+def test_simulate_vq_nonfinite_rate_or_window_exits_1(capsys, flags):
+    argv = ["simulate-vq", "--rho", "0.8", "--p", "10", "--r1", "0.5", "--r2", "0.5",
+            "-n", "4", "--trials", "2", *flags]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "finite" in err
+
+
 def test_jsonable_replaces_nonfinite():
     got = cli._jsonable({"a": math.nan, "b": [math.inf, 1.0]})
     assert got == {"a": None, "b": [None, 1.0]}
@@ -328,6 +342,15 @@ def test_output_file_matches_stdout(capsys, tmp_path):
     assert code == 0
     assert silent == ""
     assert target.read_text() == out
+
+
+@pytest.mark.parametrize("name", ["missing", "directory"])
+def test_unwritable_output_exits_1(capsys, tmp_path, name):
+    target = tmp_path / "nonexistent" / "x.json" if name == "missing" else tmp_path
+    code, out, err = run_cli(capsys, "uncoded", *SYM, "--output", str(target))
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert str(target) in err
 
 
 def test_verify_subset_report(capsys):

@@ -4,27 +4,27 @@ import threading
 import numpy as np
 import pytest
 
-from gmacdist import (
+from gmacdist import model
+from gmacdist.acceptance import run_all
+from gmacdist.model import (
+    MAX_THREADS,
     CanonicalInstance,
     DistortionPair,
     ProblemInstance,
+    TrialCountError,
     canonicalize,
     canonicalize_distortion,
-    decanonicalize_distortion,
-    derive_seed,
-    sample_source_and_noise,
-    symmetric_instance,
-    uncoded_distortions,
-)
-from gmacdist import model
-from gmacdist.model import (
-    MAX_THREADS,
-    TrialCountError,
     check_threads,
     check_trial_bytes,
-    pool_size,
+    decanonicalize_distortion,
+    derive_seed,
     run_pooled,
+    sample_source_and_noise,
+    symmetric_instance,
 )
+from gmacdist.uncoded import simulate_uncoded, uncoded_distortions
+from gmacdist.vq_analytic import make_rate_pair
+from gmacdist.vq_sim import simulate_vq
 
 
 def test_derive_seed_is_stable():
@@ -152,15 +152,8 @@ def test_sampling_rejects_empty_batch():
         sample_source_and_noise(c, 0, 1)
 
 
-def test_pool_size_never_exceeds_work_items():
-    assert pool_size(1, 10) == 1
-    assert pool_size(4, 14) == 4
-    assert pool_size(4, 1) == 1
-    assert pool_size(10**9, 3) == 3
-
-
 def test_run_pooled_starts_no_idle_workers(monkeypatch):
-    # a huge thread count asks the pool for only as many workers as items
+    # the pool has min(threads, items) workers, and none when that is one
     started = []
 
     class Recording(model.ThreadPoolExecutor):
@@ -169,16 +162,14 @@ def test_run_pooled_starts_no_idle_workers(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(model, "ThreadPoolExecutor", Recording)
-    for threads, items in ((10**9, 3), (1, 5), (8, 1)):
+    for threads, items in ((10**9, 3), (1, 10), (1, 5), (4, 14), (8, 1), (4, 1)):
         done = []
         run_pooled(done.append, items, threads)
         assert sorted(done) == list(range(items))
-    assert started == [3]
+    assert started == [3, 4]
 
 
 def test_thread_cap_refuses_before_any_thread_starts(monkeypatch):
-    from gmacdist import make_rate_pair, run_all, simulate_uncoded, simulate_vq
-
     def no_thread(self):
         raise AssertionError("a thread was started")
 
@@ -191,6 +182,14 @@ def test_thread_cap_refuses_before_any_thread_starts(monkeypatch):
                                      threads=MAX_THREADS + 1),
                  lambda: run_all(threads=10**9)):
         with pytest.raises(ValueError, match=f"at most {MAX_THREADS}"):
+            call()
+
+
+def test_thread_count_below_one_is_refused():
+    c = symmetric_instance(1.0, 0.5, 2.0, 3.0)
+    for call in (lambda: check_threads(0),
+                 lambda: simulate_uncoded(c, 10, 1, threads=0)):
+        with pytest.raises(ValueError, match="at least 1, got 0"):
             call()
 
 

@@ -3,16 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from gmacdist import (
-    CanonicalInstance,
+from gmacdist.model import CanonicalInstance, DistortionPair, symmetric_instance
+from gmacdist.rd_bounds import (
     ConvergenceError,
-    DistortionPair,
     RdCaseTag,
     capacity_term,
     check_necessary_condition,
     classify_case,
     rd_rate,
-    symmetric_instance,
     symmetric_outer_bound,
     waterfill_oracle_rate,
 )

@@ -5,24 +5,26 @@ import numpy as np
 import pytest
 
 import gmacdist.region as region
-from gmacdist import (
-    CanonicalInstance,
-    DistortionPair,
+from gmacdist.model import CanonicalInstance, DistortionPair, symmetric_instance
+from gmacdist.rd_bounds import capacity_term, symmetric_outer_bound
+from gmacdist.region import (
+    MAX_SWEEP_POINTS,
     SweepRow,
     Verdict,
-    capacity_term,
+    best_vq_for_targets,
+    check_sweep_points,
     convexify,
-    in_rate_region,
-    make_rate_pair,
     snr_sweep,
-    symmetric_instance,
-    symmetric_outer_bound,
     trace_region_boundary,
     verdict,
+)
+from gmacdist.vq_analytic import (
+    distortion_grid,
+    in_rate_region,
+    make_rate_pair,
+    rate_region_limits,
     vq_distortions,
 )
-from gmacdist.region import MAX_SWEEP_POINTS, best_vq_for_targets, check_sweep_points
-from gmacdist.vq_analytic import distortion_grid, rate_region_limits
 
 INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
 

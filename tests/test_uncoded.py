@@ -3,12 +3,11 @@ import tracemalloc
 
 import pytest
 
-from gmacdist import (
-    CanonicalInstance,
+from gmacdist.model import CanonicalInstance, symmetric_instance
+from gmacdist.rd_bounds import symmetric_outer_bound
+from gmacdist.uncoded import (
     optimality_threshold,
     simulate_uncoded,
-    symmetric_instance,
-    symmetric_outer_bound,
     symmetric_uncoded_bound,
     uncoded_distortions,
 )

@@ -3,21 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from gmacdist import (
-    CanonicalInstance,
+from gmacdist import vq_analytic
+from gmacdist.model import CanonicalInstance, symmetric_instance
+from gmacdist.rd_bounds import symmetric_outer_bound
+from gmacdist.vq_analytic import (
+    distortion_grid,
     high_snr_asymptote,
     in_rate_region,
     make_rate_pair,
     rate_region_limits,
     rho_tilde,
     solve_symmetric_rate,
-    symmetric_instance,
-    symmetric_outer_bound,
-    vq_bound,
     vq_distortions,
 )
-from gmacdist import vq_analytic
-from gmacdist.vq_analytic import distortion_grid
 
 
 def test_rho_tilde_values():
@@ -82,11 +80,12 @@ def test_distortion_monotone_in_common_rate():
 
 
 def test_vq_bound_wrapper():
+    # the steps of the vq-bound subcommand at an explicit rate pair
     c = symmetric_instance(1.0, 0.0, 1.0, 1.0)
-    res = vq_bound(c, 0.3, 0.3)
-    assert res.in_region
-    assert res.d1 == pytest.approx(2.0 ** -0.6, rel=1e-12)
-    assert not vq_bound(c, 0.45, 0.45).in_region
+    rates = make_rate_pair(c, 0.3, 0.3)
+    assert in_rate_region(c, rates)
+    assert vq_distortions(c, rates).d1 == pytest.approx(2.0 ** -0.6, rel=1e-12)
+    assert not in_rate_region(c, make_rate_pair(c, 0.45, 0.45))
 
 
 def test_solve_symmetric_desk_case():

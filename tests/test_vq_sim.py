@@ -5,29 +5,29 @@ import warnings
 import numpy as np
 import pytest
 
-from gmacdist import (
-    CodebookSizeError,
+from gmacdist import vq_sim
+from gmacdist.model import (
     ProblemInstance,
-    VqTrialStats,
+    TrialCountError,
     canonicalize,
-    decode,
     derive_seed,
-    encode,
-    generate_codebook,
-    make_rate_pair,
-    reconstruction_coefficients,
     sample_source_and_noise,
-    simulate_vq,
     symmetric_instance,
 )
-from gmacdist import vq_sim
-from gmacdist.model import TrialCountError
+from gmacdist.vq_analytic import make_rate_pair
 from gmacdist.vq_sim import (
+    CodebookSizeError,
+    VqTrialStats,
     _best_update,
     _channel_gain,
     _decode_pruned,
     _descending_prefix,
     _seed_incumbent,
+    decode,
+    encode,
+    generate_codebook,
+    reconstruction_coefficients,
+    simulate_vq,
 )
 
 
@@ -180,6 +180,12 @@ def test_codebook_zero_rate():
 def test_codebook_size_cap():
     with pytest.raises(CodebookSizeError):
         generate_codebook(64, 0.5, 1.0, 0)
+
+
+@pytest.mark.parametrize("rate", [-0.1, math.inf, math.nan])
+def test_codebook_refuses_negative_or_nonfinite_rate(rate):
+    with pytest.raises(ValueError, match="nonnegative and finite"):
+        generate_codebook(8, rate, 1.0, 0)
 
 
 def test_codebook_byte_cap_rejects_before_allocating():

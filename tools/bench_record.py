@@ -21,6 +21,9 @@ checkout the file records:
 - each ``gmacdist`` command of the checkout's README.md sh blocks, run as
   ``python3 -m gmacdist`` in a subprocess 5 times: every wall time in
   seconds, their median and the exit statuses;
+- the tier-1 suite (``python3 -m pytest -q --continue-on-collection-errors``
+  in the checkout, with ``--durations=5``), run once: its wall time, exit
+  status, outcome counts and five slowest test phases;
 - the commit checked out and whether the tree had uncommitted changes.
 
 The machine facts are recorded once: ``nproc``, Python, numpy, the BLAS
@@ -53,8 +56,13 @@ VERIFY_SEED = 7
 DEFAULT_SEEDS = 3
 TRACED_SEEDS = 3
 CLI_REPEATS = 5
+TIER1_SLOWEST = 5
 _CRITERION = re.compile(r"^criterion (\d+): ([0-9.]+) s$")
 _SH_BLOCK = re.compile(r"^```sh\n(.*?)^```", re.S | re.M)
+# pytest's closing line, "2 failed, 337 passed, 1 warning in 31.02s", and
+# one line of its --durations table, "7.41s call     tests/x.py::test_y"
+_PYTEST_SUMMARY = re.compile(r"^=*\s*(\d+ [a-z]+(?:, \d+ [a-z]+)*) in [0-9.]+s\b")
+_PYTEST_DURATION = re.compile(r"^([0-9.]+)s (setup|call|teardown) +(.+)$")
 
 
 def blas_facts() -> dict:
@@ -178,6 +186,37 @@ def run_verify(path: Path, threads: int) -> dict:
     return {"exit": proc.returncode, "criteria_s": parse_timings(proc.stderr)}
 
 
+def parse_tier1(stdout: str) -> dict:
+    """Outcome counts ("passed", "failed", "error", ...) and the slowest test
+    phases, as [seconds, phase, test id], from pytest -q --durations output."""
+    counts, slowest = {}, []
+    for line in stdout.splitlines():
+        m = _PYTEST_DURATION.match(line.strip())
+        if m:
+            slowest.append([float(m.group(1)), m.group(2), m.group(3)])
+        m = _PYTEST_SUMMARY.match(line.strip())
+        if m:
+            for part in m.group(1).split(", "):
+                n, outcome = part.split(" ")
+                counts[outcome.removesuffix("s")] = int(n)  # "2 errors"
+    return {"counts": counts, "slowest": slowest}
+
+
+def run_tier1(path: Path) -> dict:
+    """The checkout's tier-1 suite, run once in the checkout."""
+    env = dict(os.environ, PYTHONPATH=str(path / "src"))
+    cmd = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+           f"--durations={TIER1_SLOWEST}"]
+    start = time.perf_counter()
+    try:
+        proc = subprocess.run(cmd, capture_output=True, text=True, env=env,
+                              cwd=path, timeout=1800)
+    except subprocess.TimeoutExpired as e:
+        return {"exit": None, "error": f"timed out after {e.timeout} s"}
+    return {"exit": proc.returncode, "s": time.perf_counter() - start,
+            **parse_tier1(proc.stdout)}
+
+
 def readme_examples(text: str) -> list:
     """The gmacdist command lines of a README's sh blocks, as argument lists
     after the program name; continuation lines are joined and comments
@@ -268,6 +307,9 @@ def record(trees: dict, seeds: list, seconds: float, workloads: dict,
             out[label]["verify"][str(threads)] = res
     for label, examples in run_examples(trees, log).items():
         out[label]["cli"] = examples
+    for label in labels:
+        res = out[label]["tier1"] = run_tier1(trees[label])
+        log(f"{label} tier-1: exit {res['exit']}, {res.get('counts')}")
     return out
 
 
