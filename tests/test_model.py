@@ -152,8 +152,9 @@ def test_sampling_rejects_empty_batch():
         sample_source_and_noise(c, 0, 1)
 
 
-def test_run_pooled_starts_no_idle_workers(monkeypatch):
-    # the pool has min(threads, items) workers, and none when that is one
+@pytest.fixture
+def pools_started(monkeypatch):
+    """The max_workers of every pool run_pooled starts, in order."""
     started = []
 
     class Recording(model.ThreadPoolExecutor):
@@ -162,11 +163,23 @@ def test_run_pooled_starts_no_idle_workers(monkeypatch):
             super().__init__(max_workers=max_workers)
 
     monkeypatch.setattr(model, "ThreadPoolExecutor", Recording)
-    for threads, items in ((10**9, 3), (1, 10), (1, 5), (4, 14), (8, 1), (4, 1)):
+    return started
+
+
+def test_pool_size_never_exceeds_work_items(pools_started):
+    # the pool has min(threads, items) workers, and none when that is one
+    for threads, items in ((1, 10), (4, 14), (4, 1), (10**9, 3)):
+        run_pooled(lambda k: None, items, threads)
+    assert pools_started == [4, 3]
+
+
+def test_run_pooled_starts_no_idle_workers(pools_started):
+    # a huge thread count asks the pool for only as many workers as items
+    for threads, items in ((10**9, 3), (1, 5), (8, 1)):
         done = []
         run_pooled(done.append, items, threads)
         assert sorted(done) == list(range(items))
-    assert started == [3, 4]
+    assert pools_started == [3]
 
 
 def test_thread_cap_refuses_before_any_thread_starts(monkeypatch):
