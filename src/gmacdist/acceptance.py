@@ -252,11 +252,14 @@ _CRITERIA = (
 
 def run_all(seed: int = DEFAULT_SEED, threads: int = 1,
             criteria=None) -> list:
-    """Run the numbered checks and return one result per criterion.  Raises
-    ValueError, before any check runs, when threads is outside [1, MAX_THREADS]."""
+    """Run the numbered checks and return one result per criterion; None
+    runs them all.  Raises ValueError, before any check runs, when threads
+    is outside [1, MAX_THREADS] or criteria names none or an unknown one."""
     check_threads(threads)
     wanted = None if criteria is None else set(criteria)
     if wanted is not None:
+        if not wanted:
+            raise ValueError("no criteria named")
         known = {num for num, *_ in _CRITERIA}
         bad = wanted - known
         if bad:

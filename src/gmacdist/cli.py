@@ -9,6 +9,7 @@ goes to stderr.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -27,6 +28,7 @@ from .model import (
 )
 from .rd_bounds import ConvergenceError
 from .region import (
+    BoundaryPoint,
     SweepRow,
     check_sweep_points,
     convexify,
@@ -69,28 +71,6 @@ def _default_seed() -> int:
         raise CliError(f"GMACDIST_SEED must be an integer, got {raw!r}")
 
 
-def _add_instance_flags(sp):
-    sp.add_argument("--sigma2", type=float, default=None,
-                    help="common source variance (default 1)")
-    sp.add_argument("--var1", type=float, default=None,
-                    help="variance of the first component (overrides --sigma2)")
-    sp.add_argument("--var2", type=float, default=None,
-                    help="variance of the second component (overrides --sigma2)")
-    sp.add_argument("--rho", type=float, required=True,
-                    help="source correlation coefficient in [-1, 1]")
-    sp.add_argument("--p", type=float, default=None,
-                    help="transmit power for both senders (default 1)")
-    sp.add_argument("--p1", type=float, default=None, help="sender 1 power")
-    sp.add_argument("--p2", type=float, default=None, help="sender 2 power")
-    sp.add_argument("--noise", type=float, default=None,
-                    help="channel noise variance (default 1)")
-
-
-def _add_output_flag(sp):
-    sp.add_argument("--output", default=None,
-                    help="write to this path instead of stdout")
-
-
 def _instance_from_args(args) -> ProblemInstance:
     common = 1.0 if args.sigma2 is None else args.sigma2
     v1 = common if args.var1 is None else args.var1
@@ -104,18 +84,15 @@ def _instance_from_args(args) -> ProblemInstance:
 
 
 def _jsonable(obj):
-    """Recursively make a structure JSON-safe; non-finite floats become null."""
+    """Recursively make a structure JSON-safe; non-finite floats become null.
+    np.float64 is a float; no other numpy scalar reaches a document."""
     if isinstance(obj, dict):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
-    if isinstance(obj, (np.floating, float)):
+    if isinstance(obj, float):
         v = float(obj)
         return v if math.isfinite(v) else None
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
     return obj
 
 
@@ -148,23 +125,24 @@ def _emit_table(args, columns, rows):
     _emit(args, "\n".join(lines) + "\n")
 
 
-def _echo_fields(inst: ProblemInstance) -> dict:
+def _instance_command(answer):
+    """A subcommand's handler: answer(args, c) gives its fields for the
+    canonical instance c, emitted as one JSON object after the six fields
+    of the instance as given."""
+    def handler(args) -> int:
+        inst = _instance_from_args(args)
+        out = dataclasses.asdict(inst)
+        out.update(answer(args, canonicalize(inst)))
+        _emit_json(args, out)
+        return 0
+    return handler
+
+
+def _bounds(args, c) -> dict:
+    d = DistortionPair(args.d1, args.d2)
+    rec = verdict(c, canonicalize_distortion(c, d))
     return {
-        "sigma1_sq": inst.sigma1_sq, "sigma2_sq": inst.sigma2_sq,
-        "rho": inst.rho, "p1": inst.p1, "p2": inst.p2,
-        "noise_var": inst.noise_var,
-    }
-
-
-def _cmd_bounds(args) -> int:
-    inst = _instance_from_args(args)
-    c = canonicalize(inst)
-    d_orig = DistortionPair(args.d1, args.d2)
-    d = canonicalize_distortion(c, d_orig)
-    rec = verdict(c, d)
-    out = _echo_fields(inst)
-    out.update({
-        "d1": d_orig.d1, "d2": d_orig.d2,
+        "d1": d.d1, "d2": d.d2,
         "rd_rate": rec.outer.rd_rate,
         "capacity_term": rec.outer.capacity_term,
         "achievable_possible": rec.outer.achievable_possible,
@@ -174,87 +152,66 @@ def _cmd_bounds(args) -> int:
         "vq_d2": rec.vq_d2 * c.scale2,
         "vq_r1": rec.vq_r1, "vq_r2": rec.vq_r2,
         "verdict": rec.verdict,
-    })
-    _emit_json(args, out)
-    return 0
+    }
 
 
-def _cmd_uncoded(args) -> int:
-    inst = _instance_from_args(args)
-    c = canonicalize(inst)
+def _uncoded(args, c) -> dict:
     res = uncoded_distortions(c)
     thr = optimality_threshold(c.rho)
     symmetric = c.p1 == c.p2
-    out = _echo_fields(inst)
-    out.update({
+    return {
         "d1": res.d1, "d2": res.d2 * c.scale2,
         "gain1": res.gain1, "gain2": res.gain2,
         "lmmse1": res.lmmse1, "lmmse2": res.lmmse2,
         "symmetric_threshold_snr": thr,
         "at_or_below_threshold": (c.p1 / c.noise_var <= thr) if symmetric else None,
-    })
-    _emit_json(args, out)
-    return 0
+    }
 
 
-def _cmd_simulate_uncoded(args) -> int:
-    inst = _instance_from_args(args)
-    c = canonicalize(inst)
+def _simulate_uncoded(args, c) -> dict:
     sim = simulate_uncoded(c, args.trials, args.seed, threads=args.threads)
     ana = uncoded_distortions(c)
-    out = _echo_fields(inst)
-    out.update({
+    return {
         "trials": sim.trials, "seed": sim.seed,
         "d1": sim.d1, "d2": sim.d2 * c.scale2,
         "power1": sim.power1, "power2": sim.power2,
         "analytic_d1": ana.d1, "analytic_d2": ana.d2 * c.scale2,
-    })
-    _emit_json(args, out)
-    return 0
+    }
 
 
-def _cmd_vq_bound(args) -> int:
-    inst = _instance_from_args(args)
-    c = canonicalize(inst)
-    out = _echo_fields(inst)
+def _vq_bound(args, c) -> dict:
     if (args.r1 is None) != (args.r2 is None):
         raise CliError("--r1 and --r2 must be given together")
     if args.r1 is not None:
         rates = make_rate_pair(c, args.r1, args.r2)
         d = vq_distortions(c, rates)
-        out.update({
+        return {
             "mode": "pair",
             "r1": args.r1, "r2": args.r2,
             "rho_tilde": rates.rho_tilde,
             "in_region": in_rate_region(c, rates),
             "d1": d.d1, "d2": d.d2 * c.scale2,
             "rate": None,
-        })
-    else:
-        if c.p1 != c.p2:
-            raise CliError("symmetric rate solving needs equal powers; "
-                           "pass --r1/--r2 for asymmetric instances")
-        rate, dist = solve_symmetric_rate(c.sigma_sq, c.rho, c.p1, c.noise_var)
-        out.update({
-            "mode": "symmetric",
-            "r1": rate, "r2": rate, "rate": rate,
-            "rho_tilde": None, "in_region": None,
-            "d1": dist, "d2": dist * c.scale2,
-        })
-    _emit_json(args, out)
-    return 0
+        }
+    if c.p1 != c.p2:
+        raise CliError("symmetric rate solving needs equal powers; "
+                       "pass --r1/--r2 for asymmetric instances")
+    rate, dist = solve_symmetric_rate(c.sigma_sq, c.rho, c.p1, c.noise_var)
+    return {
+        "mode": "symmetric",
+        "r1": rate, "r2": rate, "rate": rate,
+        "rho_tilde": None, "in_region": None,
+        "d1": dist, "d2": dist * c.scale2,
+    }
 
 
-def _cmd_simulate_vq(args) -> int:
-    inst = _instance_from_args(args)
-    c = canonicalize(inst)
+def _simulate_vq(args, c) -> dict:
     rates = make_rate_pair(c, args.r1, args.r2)
     stats = simulate_vq(c, rates, args.blocklength, args.trials,
                         delta_typ=args.delta_typ, seed=args.seed,
                         threads=args.threads)
     ana = vq_distortions(c, rates)
-    out = _echo_fields(inst)
-    out.update({
+    return {
         "r1": args.r1, "r2": args.r2,
         "blocklength": stats.blocklength, "trials": stats.trials,
         "seed": stats.seed, "delta_typ": args.delta_typ,
@@ -270,9 +227,7 @@ def _cmd_simulate_vq(args) -> int:
         "decode_error_count": stats.decode_error_count,
         "fallback_count": stats.fallback_count,
         "analytic_d1": ana.d1, "analytic_d2": ana.d2 * c.scale2,
-    })
-    _emit_json(args, out)
-    return 0
+    }
 
 
 def _parse_grid(spec: str) -> np.ndarray:
@@ -297,21 +252,17 @@ def _parse_grid(spec: str) -> np.ndarray:
     raise CliError(f"grid scale must be log or lin, got {scale!r}")
 
 
-_BOUNDARY_COLUMNS = ("d1", "outer_d2", "uncoded_d2", "vq_d2")
-
-
 def _cmd_sweep(args) -> int:
     if (args.snr_grid is None) == (not args.boundary):
         raise CliError("choose exactly one of --snr-grid or --boundary")
     if args.boundary:
         if args.convexify:
             raise CliError("--convexify applies only to --snr-grid sweeps")
-        inst = _instance_from_args(args)
-        c = canonicalize(inst)
+        c = canonicalize(_instance_from_args(args))
         points = trace_region_boundary(c, resolution=args.resolution)
         rows = [(p.d1, p.outer_d2 * c.scale2,
                  p.uncoded_d2 * c.scale2, p.vq_d2 * c.scale2) for p in points]
-        _emit_table(args, _BOUNDARY_COLUMNS, rows)
+        _emit_table(args, BoundaryPoint._fields, rows)
         return 0
     sigma_sq = 1.0 if args.sigma2 is None else args.sigma2
     if args.var1 is not None or args.var2 is not None:
@@ -330,7 +281,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     criteria = None
-    if args.criteria:
+    if args.criteria is not None:
         try:
             criteria = [int(tok) for tok in args.criteria.split(",") if tok]
         except ValueError:
@@ -357,49 +308,62 @@ def build_parser() -> argparse.ArgumentParser:
                                  "Gaussian multiple-access channel.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sp = sub.add_parser("bounds", help="converse check and verdict for a "
-                                       "distortion target")
-    _add_instance_flags(sp)
+    # flag groups shared by several subcommands
+    instance = argparse.ArgumentParser(add_help=False)
+    instance.add_argument("--sigma2", type=float, default=None,
+                          help="common source variance (default 1)")
+    instance.add_argument("--var1", type=float, default=None,
+                          help="variance of the first component (overrides --sigma2)")
+    instance.add_argument("--var2", type=float, default=None,
+                          help="variance of the second component (overrides --sigma2)")
+    instance.add_argument("--rho", type=float, required=True,
+                          help="source correlation coefficient in [-1, 1]")
+    instance.add_argument("--p", type=float, default=None,
+                          help="transmit power for both senders (default 1)")
+    instance.add_argument("--p1", type=float, default=None, help="sender 1 power")
+    instance.add_argument("--p2", type=float, default=None, help="sender 2 power")
+    instance.add_argument("--noise", type=float, default=None,
+                          help="channel noise variance (default 1)")
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--output", default=None,
+                        help="write to this path instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=None)
+    seeded.add_argument("--threads", type=int, default=1)
+
+    sp = sub.add_parser("bounds", parents=[instance, output],
+                        help="converse check and verdict for a distortion target")
     sp.add_argument("--d1", type=float, required=True, help="target MSE 1")
     sp.add_argument("--d2", type=float, required=True, help="target MSE 2")
-    _add_output_flag(sp)
-    sp.set_defaults(handler=_cmd_bounds)
+    sp.set_defaults(handler=_instance_command(_bounds))
 
-    sp = sub.add_parser("uncoded", help="closed-form uncoded distortions")
-    _add_instance_flags(sp)
-    _add_output_flag(sp)
-    sp.set_defaults(handler=_cmd_uncoded)
+    sp = sub.add_parser("uncoded", parents=[instance, output],
+                        help="closed-form uncoded distortions")
+    sp.set_defaults(handler=_instance_command(_uncoded))
 
-    sp = sub.add_parser("simulate-uncoded", help="Monte Carlo uncoded run")
-    _add_instance_flags(sp)
+    sp = sub.add_parser("simulate-uncoded", parents=[instance, seeded, output],
+                        help="Monte Carlo uncoded run")
     sp.add_argument("--trials", type=int, default=100_000)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
-    _add_output_flag(sp)
-    sp.set_defaults(handler=_cmd_simulate_uncoded)
+    sp.set_defaults(handler=_instance_command(_simulate_uncoded))
 
-    sp = sub.add_parser("vq-bound", help="quantizer-scheme distortion bound")
-    _add_instance_flags(sp)
+    sp = sub.add_parser("vq-bound", parents=[instance, output],
+                        help="quantizer-scheme distortion bound")
     sp.add_argument("--r1", type=float, default=None, help="rate 1, bits/symbol")
     sp.add_argument("--r2", type=float, default=None, help="rate 2, bits/symbol")
-    _add_output_flag(sp)
-    sp.set_defaults(handler=_cmd_vq_bound)
+    sp.set_defaults(handler=_instance_command(_vq_bound))
 
-    sp = sub.add_parser("simulate-vq", help="end-to-end quantizer simulation")
-    _add_instance_flags(sp)
+    sp = sub.add_parser("simulate-vq", parents=[instance, seeded, output],
+                        help="end-to-end quantizer simulation")
     sp.add_argument("--r1", type=float, required=True)
     sp.add_argument("--r2", type=float, required=True)
     sp.add_argument("--blocklength", "-n", type=int, required=True)
     sp.add_argument("--trials", type=int, default=500)
     sp.add_argument("--delta-typ", type=float, default=0.05,
                     help="half-width of the codeword correlation window")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
-    _add_output_flag(sp)
-    sp.set_defaults(handler=_cmd_simulate_vq)
+    sp.set_defaults(handler=_instance_command(_simulate_vq))
 
-    sp = sub.add_parser("sweep", help="power sweep or region boundary trace")
-    _add_instance_flags(sp)
+    sp = sub.add_parser("sweep", parents=[instance, output],
+                        help="power sweep or region boundary trace")
     sp.add_argument("--snr-grid", default=None,
                     help="power-ratio grid as START:STOP:COUNT:log|lin")
     sp.add_argument("--convexify", action="store_true",
@@ -411,17 +375,14 @@ def build_parser() -> argparse.ArgumentParser:
                     help="points on the boundary trace")
     sp.add_argument("--format", choices=("csv", "json"), default="csv",
                     help="output format")
-    _add_output_flag(sp)
     sp.set_defaults(handler=_cmd_sweep)
 
-    sp = sub.add_parser("verify", help="run the acceptance checks")
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--threads", type=int, default=1)
+    sp = sub.add_parser("verify", parents=[seeded, output],
+                        help="run the acceptance checks")
     sp.add_argument("--criteria", default=None,
                     help="comma-separated criterion numbers (default: all)")
     sp.add_argument("--timings", action="store_true",
                     help="print each criterion's wall time to stderr")
-    _add_output_flag(sp)
     sp.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -151,8 +151,8 @@ class DistortionPair:
     d2: float
 
     def __post_init__(self):
-        if not (self.d1 >= 0 and self.d2 >= 0):
-            raise ValueError("distortions must be nonnegative")
+        if not (0 <= self.d1 < math.inf and 0 <= self.d2 < math.inf):
+            raise ValueError("distortions must be nonnegative and finite")
 
 
 @dataclass(frozen=True, eq=False)

@@ -43,6 +43,18 @@ class OuterBoundResult:
     achievable_possible: bool
 
 
+# While the variance is at most this and both clamped targets at least its
+# inverse, no product of two of them leaves the normal doubles, and the
+# regime thresholds and rates are evaluated as written.  Outside, they are
+# evaluated on the targets divided by the variance, and the rates as
+# differences of log2s.
+_PLAIN_SCALE = 2.0 ** 250
+
+
+def _plain_scale(s2: float, a: float) -> bool:
+    return s2 <= _PLAIN_SCALE and a >= 1.0 / _PLAIN_SCALE
+
+
 def classify_case(c: CanonicalInstance, d: DistortionPair) -> RdCase:
     """Place a distortion pair in one of the three rate-distortion regimes.
 
@@ -60,11 +72,17 @@ def classify_case(c: CanonicalInstance, d: DistortionPair) -> RdCase:
     if a >= s2:
         # both targets at full variance, zero rate
         return RdCase(RdCaseTag.INTERMEDIATE, (a, b))
-    thr_low = (s2 * (1.0 - rho * rho) - a) * s2 / (s2 - a)
-    thr_high = s2 * (1.0 - rho * rho) + rho * rho * a
-    if b < thr_low:
+    if _plain_scale(s2, a):
+        thr_low = (s2 * (1.0 - rho * rho) - a) * s2 / (s2 - a)
+        thr_high = s2 * (1.0 - rho * rho) + rho * rho * a
+        y = b
+    else:
+        x, y = a / s2, b / s2
+        thr_low = (1.0 - rho * rho - x) / (1.0 - x)
+        thr_high = 1.0 - rho * rho + rho * rho * x
+    if y < thr_low:
         tag = RdCaseTag.BOTH_SMALL
-    elif b > thr_high:
+    elif y > thr_high:
         tag = RdCaseTag.ONE_INACTIVE
     else:
         tag = RdCaseTag.INTERMEDIATE
@@ -75,12 +93,16 @@ def rd_rate(c: CanonicalInstance, d: DistortionPair) -> float:
     """Joint rate-distortion function of the correlated pair, in bits/symbol.
 
     Returns the minimum total description rate under which both components
-    can be reconstructed within the given mean squared errors.
+    can be reconstructed within the given mean squared errors.  Finite for
+    every positive variance and targets.
     """
     s2 = c.sigma_sq
     rho = c.rho
     case = classify_case(c, d)
     a, b = case.canonical_pair
+    if not _plain_scale(s2, a):
+        return _scaled_rate(case.tag, rho, a / s2, b / s2,
+                            math.log2(a) - math.log2(s2), math.log2(b) - math.log2(s2))
     if case.tag is RdCaseTag.BOTH_SMALL:
         rate = 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / (a * b))
     elif case.tag is RdCaseTag.ONE_INACTIVE:
@@ -96,6 +118,24 @@ def rd_rate(c: CanonicalInstance, d: DistortionPair) -> float:
             rate = 0.5 * math.log2(s2 / a)
         else:
             rate = 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / denom)
+    return max(rate, 0.0)
+
+
+def _scaled_rate(tag: RdCaseTag, rho: float, x: float, y: float,
+                 log_x: float, log_y: float) -> float:
+    """rd_rate of the targets x <= y relative to the variance, whose log2s
+    are log_x and log_y; x and y may have underflowed."""
+    if tag is RdCaseTag.BOTH_SMALL:
+        rate = 0.5 * (math.log2(1.0 - rho * rho) - log_x - log_y)
+    elif tag is RdCaseTag.ONE_INACTIVE:
+        rate = -0.5 * log_x
+    else:
+        gap = rho - math.sqrt((1.0 - x) * (1.0 - y))
+        denom = x * y - gap * gap
+        if denom <= 0 or rho * rho == 1.0:
+            rate = -0.5 * log_x
+        else:
+            rate = 0.5 * (math.log2(1.0 - rho * rho) - math.log2(denom))
     return max(rate, 0.0)
 
 
@@ -255,7 +295,7 @@ def _half_log2_ratio(lam: float, theta: float) -> float:
 
 
 def waterfill_oracle_rates(c: CanonicalInstance, d1, d2,
-                           tolerance: float = 1e-9, max_iter: int = 200) -> np.ndarray:
+                           max_iter: int = 200) -> np.ndarray:
     """Minimal description rates via scaling plus reverse waterfilling, for
     a batch of targets (d1[k], d2[k]).
 
@@ -264,8 +304,8 @@ def waterfill_oracle_rates(c: CanonicalInstance, d1, d2,
     array pass, then refines each target's best cell on its own by
     golden-section search on Python floats, stopping once its bracket is
     narrower than 1e-12.  Every entry is bitwise what a batch of that
-    target alone returns.  Raises ConvergenceError if some bracket fails to
-    shrink within max_iter steps.
+    target alone returns.  Raises ConvergenceError if some bracket is still
+    wider than 1e-6 after max_iter steps.
     """
     d1 = np.asarray(d1, dtype=float).ravel()
     d2 = np.asarray(d2, dtype=float).ravel()
@@ -274,13 +314,13 @@ def waterfill_oracle_rates(c: CanonicalInstance, d1, d2,
     d1 = np.minimum(d1, c.sigma_sq)
     d2 = np.minimum(d2, c.sigma_sq)
     with np.errstate(all="ignore"):
-        return _golden_section(c, d1, d2, tolerance, max_iter)
+        return _golden_section(c, d1, d2, max_iter)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _golden_section(c, d1, d2, tolerance, max_iter):
+def _golden_section(c, d1, d2, max_iter):
     grid = np.linspace(_LOGC_LO, _LOGC_HI, 257)
     rates = _component_rates(c.sigma_sq, c.rho, d1[:, None], d2[:, None],
                              np.exp(grid))
@@ -289,12 +329,12 @@ def _golden_section(c, d1, d2, tolerance, max_iter):
     lo = grid[np.maximum(i - 1, 0)]
     hi = grid[np.minimum(i + 1, len(grid) - 1)]
     return np.array([
-        _refine(c.sigma_sq, c.rho, *args, tolerance, max_iter)
+        _refine(c.sigma_sq, c.rho, *args, max_iter)
         for args in zip(d1.tolist(), d2.tolist(), lo.tolist(), hi.tolist(),
                         best.tolist())], dtype=float)
 
 
-def _refine(sigma_sq, rho, t1, t2, lo, hi, best, tolerance, max_iter):
+def _refine(sigma_sq, rho, t1, t2, lo, hi, best, max_iter):
     """Golden-section refinement of one target's scan cell [lo, hi]."""
     def f(logc):
         return _component_rate(sigma_sq, rho, t1, t2, float(np.exp(logc)))
@@ -319,7 +359,7 @@ def _refine(sigma_sq, rho, t1, t2, lo, hi, best, tolerance, max_iter):
             x1, x2 = x2, lo + _INVPHI * span
             f1, f2 = f2, f(x2)
     else:
-        if span > max(tolerance, 1e-6):
+        if span > 1e-6:
             raise ConvergenceError("scaling search did not converge")
     # min(best, f1, f2) as Python's min takes it: a later value replaces an
     # earlier one only if strictly smaller
@@ -328,7 +368,7 @@ def _refine(sigma_sq, rho, t1, t2, lo, hi, best, tolerance, max_iter):
 
 
 def waterfill_oracle_rate(c: CanonicalInstance, d: DistortionPair,
-                          tolerance: float = 1e-9, max_iter: int = 200) -> float:
+                          max_iter: int = 200) -> float:
     """Minimal description rate of one target pair: waterfill_oracle_rates
     on a batch of one."""
-    return float(waterfill_oracle_rates(c, d.d1, d.d2, tolerance, max_iter)[0])
+    return float(waterfill_oracle_rates(c, d.d1, d.d2, max_iter)[0])

@@ -85,9 +85,9 @@ class SweepRow(NamedTuple):
     verdict: str
 
 
-@dataclass(frozen=True)
-class BoundaryPoint:
-    """Minimal second-component distortions at a fixed first target."""
+class BoundaryPoint(NamedTuple):
+    """Minimal second-component distortions at a fixed first target; the
+    fields are the output columns."""
 
     d1: float
     outer_d2: float
@@ -108,13 +108,13 @@ def _rate_axis_cap(c: CanonicalInstance) -> float:
     return max(cap + 3.0, 2.0)
 
 
-def _coarse_grid(c: CanonicalInstance, grid: int = 64):
+def _coarse_grid(c: CanonicalInstance):
     """The search's coarse grid as (cap, axis, scored): the rate-axis cap,
-    a log-spaced axis with zero rate included, and distortion_grid over
-    axis x axis.  It depends on the instance alone, so a caller with many
-    objectives scores it once."""
+    a 64-point log-spaced axis with zero rate included, and distortion_grid
+    over axis x axis.  It depends on the instance alone, so a caller with
+    many objectives scores it once."""
     cap = _rate_axis_cap(c)
-    axis = np.concatenate(([0.0], np.geomspace(1e-3, cap, grid - 1)))
+    axis = np.concatenate(([0.0], np.geomspace(1e-3, cap, 63)))
     return cap, axis, distortion_grid(c, axis, axis)
 
 
@@ -151,8 +151,7 @@ def _window_best(objective, live, scored, rows):
     return val[rows, k], k
 
 
-def _search_rates(c: CanonicalInstance, objective, targets: int, coarse=None,
-                  tol: float = 1e-6):
+def _search_rates(c: CanonicalInstance, objective, targets: int, coarse=None):
     """Minimize a batch of objectives over the decodable rate region.
 
     objective(d1, d2, live) scores arrays of scheme distortions for the
@@ -178,7 +177,7 @@ def _search_rates(c: CanonicalInstance, objective, targets: int, coarse=None,
         rows = rows[:live.size]
 
         span = cap / 4.0
-        while live.size and span > tol / 2.0:
+        while live.size and span > 0.5e-6:  # rates to within 1e-6
             axes = _zoom_axes(np.maximum(rates - span, 0.0),
                               np.minimum(rates + span, cap))
             # a lone target's window is scored as a plain 13 x 13 grid,
@@ -296,17 +295,17 @@ def convexify(rows: list) -> list:
             for r, u, v in zip(rows, unc, vq)]
 
 
-def _min_outer_d2(c: CanonicalInstance, d1: float, cap: float,
-                  tol: float = 1e-12, iters: int = 200) -> float:
-    """Smallest d2 the converse permits at a fixed d1 (NaN if none)."""
+def _min_outer_d2(c: CanonicalInstance, d1: float, cap: float) -> float:
+    """Smallest d2 the converse permits at a fixed d1 (NaN if none), by
+    bisection to 1e-12 of the variance in at most 200 steps."""
     lo = c.sigma_sq * 1e-15
     hi = c.sigma_sq
     if cap < rd_rate(c, DistortionPair(d1, hi)) - 1e-12:
         return math.nan
     if cap >= rd_rate(c, DistortionPair(d1, lo)):
         return lo
-    for _ in range(iters):
-        if hi - lo <= tol * c.sigma_sq:
+    for _ in range(200):
+        if hi - lo <= 1e-12 * c.sigma_sq:
             break
         mid = 0.5 * (lo + hi)
         if cap >= rd_rate(c, DistortionPair(d1, mid)):

@@ -198,20 +198,19 @@ def _log2_rhs(p: float, noise_var: float, rt: float) -> float:
     return math.log2(q)
 
 
-def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float,
-                         tolerance: float = 1e-12, max_iter: int = 200):
+def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float):
     """Largest symmetric rate the decoder supports, and its distortion.
 
     The ceiling on the common rate depends on the rate itself through the
     residual correlation, so the operating point is the fixed point of
     r = rhs(r).  rhs is increasing and bounded (for rho < 1), g = rhs - r is
     positive at 0 and eventually negative; the largest zero is located by a
-    1024-cell scan and then bisection to the requested tolerance.  The scan
-    is scored in one numpy pass; a point whose g lies within _EDGE_BAND of 0
-    (or is NaN) is scored again with the scalar libm form, so the sign test
-    sees what scalar evaluation gives.  The bisection stays scalar.  Raises
-    ValueError when the residual correlation rounds to 1 while the scan's
-    upper end is sought (rho = 1 at enormous power).
+    1024-cell scan and then bisection to a width of 1e-12, in at most 200
+    steps.  The scan is scored in one numpy pass; a point whose g lies
+    within _EDGE_BAND of 0 (or is NaN) is scored again with the scalar libm
+    form, so the sign test sees what scalar evaluation gives.  The bisection
+    stays scalar.  Raises ValueError when the residual correlation rounds to
+    1 while the scan's upper end is sought (rho = 1 at enormous power).
 
     Returns
     -------
@@ -265,8 +264,8 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
             left, right = xs[k - 1], xs[k]
             break
 
-    for _ in range(max_iter):
-        if right - left <= tolerance:
+    for _ in range(200):
+        if right - left <= 1e-12:
             break
         mid = 0.5 * (left + right)
         if g(mid) > 0:

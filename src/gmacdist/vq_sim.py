@@ -367,9 +367,12 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
     correlated with the channel outputs by one GEMM, and each trial is then
     decoded from its own row.  Raises TrialCountError, before allocating,
     when the per-trial results would need more than MAX_TRIAL_BYTES (above
-    2^20 trials), and ValueError, before the region check, for non-finite
-    rates, a window outside [0, inf) or threads outside [1, MAX_THREADS].
+    2^20 trials), and ValueError, before the region check, for a
+    blocklength below 1, non-finite rates, a window outside [0, inf) or
+    threads outside [1, MAX_THREADS].
     """
+    if n < 1:
+        raise ValueError("blocklength must be at least 1")
     if trials < 1:
         raise ValueError("need at least one trial")
     if not (math.isfinite(rates.r1) and math.isfinite(rates.r2)):

@@ -51,3 +51,8 @@ def test_report_format_is_stable(results):
     assert len(lines) == 11
     for number, line in zip(range(1, 10), lines[1:-1]):
         assert line.startswith(f"criterion {number} PASS ")
+
+
+def test_empty_criteria_list_is_refused():
+    with pytest.raises(ValueError, match="no criteria"):
+        run_all(criteria=[])

@@ -98,6 +98,15 @@ def test_record_alternates_trees_and_traces_the_first_seeds(monkeypatch):
     assert [out[label]["tier1"]["tree"] for label in "ab"] == ["A", "B"]
 
 
+def test_tree_facts_count_the_package_source_lines(tmp_path):
+    pkg = tmp_path / "src" / "gmacdist"
+    pkg.mkdir(parents=True)
+    (pkg / "a.py").write_text("x = 1\ny = 2\n")
+    (pkg / "b.py").write_text("z = 3\n")
+    (pkg / "notes.txt").write_text("not\ncounted\n")
+    assert bench_record.tree_facts(tmp_path)["src_lines"] == 3
+
+
 README = '''# tool
 
 ```sh

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import subprocess
@@ -544,3 +545,113 @@ def test_negative_scientific_values_parse(capsys, argv, schema):
     check_schema(doc, schema)
     if schema != "sweep-boundary":
         assert doc["rho"] == -9.153287305937452e-06
+
+
+# every subcommand's flags as the parser declared them before the shared
+# groups became parent parsers: option strings -> (default, type, choices,
+# required, nargs); a store_true flag has nargs 0
+INSTANCE_FLAGS = {
+    ("--sigma2",): (None, float, None, False, None),
+    ("--var1",): (None, float, None, False, None),
+    ("--var2",): (None, float, None, False, None),
+    ("--rho",): (None, float, None, True, None),
+    ("--p",): (None, float, None, False, None),
+    ("--p1",): (None, float, None, False, None),
+    ("--p2",): (None, float, None, False, None),
+    ("--noise",): (None, float, None, False, None),
+}
+OUTPUT_FLAG = {("--output",): (None, None, None, False, None)}
+SEED_THREADS_FLAGS = {
+    ("--seed",): (None, int, None, False, None),
+    ("--threads",): (1, int, None, False, None),
+}
+FLAG_TABLE = {
+    "bounds": {
+        **INSTANCE_FLAGS, **OUTPUT_FLAG,
+        ("--d1",): (None, float, None, True, None),
+        ("--d2",): (None, float, None, True, None),
+    },
+    "uncoded": {**INSTANCE_FLAGS, **OUTPUT_FLAG},
+    "simulate-uncoded": {
+        **INSTANCE_FLAGS, **OUTPUT_FLAG, **SEED_THREADS_FLAGS,
+        ("--trials",): (100_000, int, None, False, None),
+    },
+    "vq-bound": {
+        **INSTANCE_FLAGS, **OUTPUT_FLAG,
+        ("--r1",): (None, float, None, False, None),
+        ("--r2",): (None, float, None, False, None),
+    },
+    "simulate-vq": {
+        **INSTANCE_FLAGS, **OUTPUT_FLAG, **SEED_THREADS_FLAGS,
+        ("--r1",): (None, float, None, True, None),
+        ("--r2",): (None, float, None, True, None),
+        ("--blocklength", "-n"): (None, int, None, True, None),
+        ("--trials",): (500, int, None, False, None),
+        ("--delta-typ",): (0.05, float, None, False, None),
+    },
+    "sweep": {
+        **INSTANCE_FLAGS, **OUTPUT_FLAG,
+        ("--snr-grid",): (None, None, None, False, None),
+        ("--convexify",): (False, None, None, False, 0),
+        ("--boundary",): (False, None, None, False, 0),
+        ("--resolution",): (64, int, None, False, None),
+        ("--format",): ("csv", None, ("csv", "json"), False, None),
+    },
+    "verify": {
+        **OUTPUT_FLAG, **SEED_THREADS_FLAGS,
+        ("--criteria",): (None, None, None, False, None),
+        ("--timings",): (False, None, None, False, 0),
+    },
+}
+
+
+def test_each_subcommand_declares_the_tabled_flags():
+    parser = cli.build_parser()
+    sub, = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == set(FLAG_TABLE)
+    for name, sp in sub.choices.items():
+        got = {tuple(a.option_strings): (a.default, a.type, a.choices, a.required, a.nargs)
+               for a in sp._actions if not isinstance(a, argparse._HelpAction)}
+        assert got == FLAG_TABLE[name], name
+
+
+@pytest.mark.parametrize("d1, d2", [("inf", "inf"), ("1e400", "0.5"), ("0.5", "nan")])
+def test_nonfinite_distortion_targets_exit_1(capsys, d1, d2):
+    # 1e400 parses to inf; an infinite target once echoed as a null
+    code, out, err = run_cli(capsys, "bounds", "--rho", "0.5", "--d1", d1, "--d2", d2)
+    assert (code, out) == (1, "")
+    assert err.count("\n") == 1 and "finite" in err
+
+
+@pytest.mark.parametrize("flags, rate", [
+    (("--d1", "1e-300", "--d2", "1e-300"), 996.3709097),
+    (("--sigma2", "1e200", "--d1", "1e199", "--d2", "1e199"), 0.5 * math.log2(75.0)),
+    (("--d1", "1e-320", "--d2", "0.5"), 531.8009845),
+    (("--sigma2", "1e-200", "--d1", "1e-201", "--d2", "1e-201"), 0.5 * math.log2(75.0)),
+])
+def test_bounds_at_extreme_scales_gives_the_rate(capsys, flags, rate):
+    # products of variances and targets once under- or overflowed here:
+    # a ZeroDivisionError, a null rate, or the wrong regime
+    code, out, err = run_cli(capsys, "bounds", "--rho", "0.5", *flags)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    check_schema(doc, "bounds")
+    assert doc["rd_rate"] == pytest.approx(rate, rel=1e-9)
+
+
+def test_simulate_vq_zero_blocklength_exits_1_with_one_line(capsys):
+    # the pair lies outside the region; the blocklength is refused before
+    # the region warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate-vq", "--rho", "0.5", "--r1", "0.5",
+                                 "--r2", "0.5", "-n", "0")
+    assert (code, out) == (1, "")
+    assert err == "error: blocklength must be at least 1\n"
+
+
+@pytest.mark.parametrize("spec", [",", "", ",,"])
+def test_verify_criteria_naming_none_exits_1(capsys, spec):
+    code, out, err = run_cli(capsys, "verify", "--criteria", spec)
+    assert (code, out) == (1, "")
+    assert err == "error: no criteria named\n"

@@ -221,3 +221,60 @@ def test_oracle_values_are_pinned(sigma_sq, rho, d1, d2, want):
     # and the f1 <= f2 rule decide the last bit
     c = CanonicalInstance(sigma_sq, rho, 1.0, 1.0, 1.0)
     assert waterfill_oracle_rate(c, DistortionPair(d1, d2)).hex() == want
+
+
+def _mp_rate(sigma_sq, rho, d1, d2):
+    """rd_rate's regimes and closed forms in 60-digit arithmetic."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        s2, r = mp.mpf(sigma_sq), mp.mpf(rho)
+        a = min(mp.mpf(d1), mp.mpf(d2), s2)
+        b = min(max(mp.mpf(d1), mp.mpf(d2)), s2)
+        if a >= s2:
+            return 0.0
+        one = 1 - r * r
+        if b < (s2 * one - a) * s2 / (s2 - a):
+            rate = mp.log(s2 * s2 * one / (a * b), 2) / 2
+        elif b > s2 * one + r * r * a:
+            rate = mp.log(s2 / a, 2) / 2
+        else:
+            gap = r * s2 - mp.sqrt((s2 - a) * (s2 - b))
+            rate = mp.log(s2 * s2 * one / (a * b - gap * gap), 2) / 2
+        return float(max(rate, 0))
+
+
+@pytest.mark.parametrize("sigma_sq, rho, d1, d2, tag", [
+    # a * b underflows to 0
+    (1.0, 0.5, 1e-300, 1e-300, RdCaseTag.BOTH_SMALL),
+    # the quotient overflows
+    (1.0, 0.5, 1e-320, 0.5, RdCaseTag.BOTH_SMALL),
+    # s2 * s2 overflows
+    (1e200, 0.5, 1e199, 1e199, RdCaseTag.BOTH_SMALL),
+    (1e300, 0.5, 0.3e300, 0.7e300, RdCaseTag.INTERMEDIATE),
+    (1e300, 0.5, 0.9e300, 0.1e300, RdCaseTag.ONE_INACTIVE),
+    # the low threshold underflows, which once picked the wrong regime
+    (1e-200, 0.5, 1e-201, 1e-201, RdCaseTag.BOTH_SMALL),
+    (1e-300, 0.5, 0.3e-300, 0.7e-300, RdCaseTag.INTERMEDIATE),
+    (1e-200, 0.9, 1e-205, 0.9e-200, RdCaseTag.ONE_INACTIVE),
+])
+def test_rate_at_extreme_scales_matches_mpmath(sigma_sq, rho, d1, d2, tag):
+    c = symmetric_instance(sigma_sq, rho, 1.0, 1.0)
+    d = DistortionPair(d1, d2)
+    assert classify_case(c, d).tag is tag
+    assert rd_rate(c, d) == pytest.approx(_mp_rate(sigma_sq, rho, d1, d2), rel=1e-12)
+
+
+def test_rate_at_extreme_scales_reference_values():
+    assert _mp_rate(1.0, 0.5, 1e-300, 1e-300) == pytest.approx(996.3709097, abs=1e-7)
+    assert _mp_rate(1.0, 0.5, 1e-320, 0.5) == pytest.approx(531.8009845, abs=1e-7)
+
+
+@pytest.mark.parametrize("shares", [(0.1, 0.1), (0.3, 0.7), (0.9, 0.1), (1e-3, 0.5)])
+def test_rate_depends_on_targets_relative_to_the_variance(shares):
+    # from 2^-1000 to 2^1000, both sides of the plain-evaluation range
+    want = rd_rate(symmetric_instance(1.0, 0.5, 1.0, 1.0), DistortionPair(*shares))
+    for k in range(-1000, 1001, 40):
+        s2 = 2.0 ** k
+        got = rd_rate(symmetric_instance(s2, 0.5, 1.0, 1.0),
+                      DistortionPair(shares[0] * s2, shares[1] * s2))
+        assert got == pytest.approx(want, rel=1e-12), k

@@ -24,7 +24,8 @@ checkout the file records:
 - the tier-1 suite (``python3 -m pytest -q --continue-on-collection-errors``
   in the checkout, with ``--durations=5``), run once: its wall time, exit
   status, outcome counts and five slowest test phases;
-- the commit checked out and whether the tree had uncommitted changes.
+- the commit checked out, whether the tree had uncommitted changes, and
+  the line count of its ``src/gmacdist/*.py`` (as ``wc -l`` counts them).
 
 The machine facts are recorded once: ``nproc``, Python, numpy, the BLAS
 library with its core and default thread count, and
@@ -112,7 +113,9 @@ def tree_facts(path: Path) -> dict:
 
     status = git("status", "--porcelain")
     return {"commit": git("rev-parse", "HEAD"),
-            "dirty": None if status is None else bool(status)}
+            "dirty": None if status is None else bool(status),
+            "src_lines": sum(f.read_bytes().count(b"\n")
+                             for f in (path / "src" / "gmacdist").glob("*.py"))}
 
 
 def summarize(values: list) -> dict:
