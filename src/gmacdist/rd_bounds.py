@@ -101,8 +101,7 @@ def rd_rate(c: CanonicalInstance, d: DistortionPair) -> float:
     case = classify_case(c, d)
     a, b = case.canonical_pair
     if not _plain_scale(s2, a):
-        return _scaled_rate(case.tag, rho, a / s2, b / s2,
-                            math.log2(a) - math.log2(s2), math.log2(b) - math.log2(s2))
+        return _scaled_rate(case.tag, rho, s2, a, b)
     if case.tag is RdCaseTag.BOTH_SMALL:
         rate = 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / (a * b))
     elif case.tag is RdCaseTag.ONE_INACTIVE:
@@ -121,15 +120,18 @@ def rd_rate(c: CanonicalInstance, d: DistortionPair) -> float:
     return max(rate, 0.0)
 
 
-def _scaled_rate(tag: RdCaseTag, rho: float, x: float, y: float,
-                 log_x: float, log_y: float) -> float:
-    """rd_rate of the targets x <= y relative to the variance, whose log2s
-    are log_x and log_y; x and y may have underflowed."""
+def _scaled_rate(tag: RdCaseTag, rho: float, s2: float, a: float, b: float) -> float:
+    """rd_rate's closed forms on the targets a <= b divided by the variance
+    s2, each log2 of a quotient taken as a difference, as the quotients may
+    under- or overflow."""
+    log_x = math.log2(a) - math.log2(s2)
     if tag is RdCaseTag.BOTH_SMALL:
+        log_y = math.log2(b) - math.log2(s2)
         rate = 0.5 * (math.log2(1.0 - rho * rho) - log_x - log_y)
     elif tag is RdCaseTag.ONE_INACTIVE:
         rate = -0.5 * log_x
     else:
+        x, y = a / s2, b / s2
         gap = rho - math.sqrt((1.0 - x) * (1.0 - y))
         denom = x * y - gap * gap
         if denom <= 0 or rho * rho == 1.0:
