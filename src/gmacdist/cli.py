@@ -83,6 +83,19 @@ def _instance_from_args(args) -> ProblemInstance:
                            p1=p1, p2=p2, noise_var=noise)
 
 
+def _canonical(inst: ProblemInstance):
+    """canonicalize(inst), refusing a variance ratio outside the float64 range."""
+    ratio = inst.sigma2_sq / inst.sigma1_sq
+    if not 0.0 < ratio < math.inf:
+        raise CliError(f"the variance ratio --var2/--var1 = {inst.sigma2_sq:g}/"
+                       f"{inst.sigma1_sq:g} {_range_fault(ratio)}")
+    return canonicalize(inst)
+
+
+def _range_fault(v: float) -> str:
+    return "underflows to 0" if v == 0.0 else "overflows"
+
+
 def _jsonable(obj):
     """Recursively make a structure JSON-safe; non-finite floats become null.
     np.float64 is a float; no other numpy scalar reaches a document."""
@@ -132,7 +145,7 @@ def _instance_command(answer):
     def handler(args) -> int:
         inst = _instance_from_args(args)
         out = dataclasses.asdict(inst)
-        out.update(answer(args, canonicalize(inst)))
+        out.update(answer(args, _canonical(inst)))
         _emit_json(args, out)
         return 0
     return handler
@@ -140,6 +153,10 @@ def _instance_command(answer):
 
 def _bounds(args, c) -> dict:
     d = DistortionPair(args.d1, args.d2)
+    d2 = d.d2 / c.scale2
+    if d.d2 > 0.0 and not 0.0 < d2 < math.inf:
+        raise CliError(f"--d2 {d.d2:g} divided by the variance ratio "
+                       f"--var2/--var1 = {c.scale2:g} {_range_fault(d2)}")
     rec = verdict(c, canonicalize_distortion(c, d))
     return {
         "d1": d.d1, "d2": d.d2,
@@ -258,7 +275,7 @@ def _cmd_sweep(args) -> int:
     if args.boundary:
         if args.convexify:
             raise CliError("--convexify applies only to --snr-grid sweeps")
-        c = canonicalize(_instance_from_args(args))
+        c = _canonical(_instance_from_args(args))
         points = trace_region_boundary(c, resolution=args.resolution)
         rows = [(p.d1, p.outer_d2 * c.scale2,
                  p.uncoded_d2 * c.scale2, p.vq_d2 * c.scale2) for p in points]

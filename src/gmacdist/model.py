@@ -9,6 +9,7 @@ systems with the recorded scale factor.
 from __future__ import annotations
 
 import math
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -134,11 +135,11 @@ class CanonicalInstance:
     def sqrt_p1p2(self) -> float:
         """sqrt(p1 * p2), the cross-term amplitude of two coherent senders.
 
-        Taken as sqrt(p1) * sqrt(p2) only when the product overflows, so
-        ordinary instances keep the bits of the direct form.
+        Taken as sqrt(p1) * sqrt(p2) only when the product overflows or
+        underflows, so ordinary instances keep the bits of the direct form.
         """
         prod = self.p1 * self.p2
-        if math.isfinite(prod):
+        if sys.float_info.min <= prod < math.inf or self.p1 == 0.0 or self.p2 == 0.0:
             return math.sqrt(prod)
         return math.sqrt(self.p1) * math.sqrt(self.p2)
 
@@ -193,7 +194,8 @@ def decanonicalize_distortion(c: CanonicalInstance, d: DistortionPair) -> Distor
     return DistortionPair(d.d1, d.d2 * c.scale2)
 
 
-def sample_source_and_noise(c: CanonicalInstance, n: int, seed: int) -> SampleBatch:
+def sample_source_and_noise(c: CanonicalInstance, n: int, seed: int,
+                            out: np.ndarray | None = None) -> SampleBatch:
     """Draw n correlated source symbols and n noise symbols.
 
     Parameters
@@ -205,22 +207,35 @@ def sample_source_and_noise(c: CanonicalInstance, n: int, seed: int) -> SampleBa
     seed : int
         64-bit reproducibility token; the same seed yields bitwise
         identical batches.
+    out : ndarray, optional
+        C-contiguous float64 array of at least 3 rows and n columns; the
+        batch is written into out[:3, :n].  Allocated when omitted.
 
     Returns
     -------
     SampleBatch
         s1, s2 jointly Gaussian with variance sigma_sq and correlation rho,
-        z independent with variance noise_var.
+        z independent with variance noise_var; rows of out.
     """
     if n < 1:
         raise ValueError("need at least one sample")
+    if out is None:
+        out = np.empty((3, n))
+    s1, s2, z = out[0, :n], out[1, :n], out[2, :n]
     rng = np.random.default_rng(int(seed) & _MASK64)
-    g = rng.standard_normal((2, n))
-    zg = rng.standard_normal(n)
+    # g0, g1, then the noise: the stream of a (2, n) draw and an n draw.
+    # s2 = sd * (rho * g0 + sqrt(1 - rho^2) * g1) with rho * g0 parked in the
+    # noise row until the noise is drawn; arithmetic does not advance rng
+    rng.standard_normal(out=s1)
+    rng.standard_normal(out=s2)
     sd = math.sqrt(c.sigma_sq)
-    s1 = sd * g[0]
-    s2 = sd * (c.rho * g[0] + math.sqrt(1.0 - c.rho * c.rho) * g[1])
-    z = math.sqrt(c.noise_var) * zg
+    np.multiply(s1, c.rho, out=z)
+    np.multiply(s2, math.sqrt(1.0 - c.rho * c.rho), out=s2)
+    np.add(z, s2, out=s2)
+    np.multiply(s2, sd, out=s2)
+    np.multiply(s1, sd, out=s1)
+    rng.standard_normal(out=z)
+    np.multiply(z, math.sqrt(c.noise_var), out=z)
     return SampleBatch(s1=s1, s2=s2, z=z)
 
 

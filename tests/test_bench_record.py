@@ -219,3 +219,59 @@ def test_run_tier1_times_the_suite_in_the_checkout(tmp_path, monkeypatch):
     assert res == {"exit": 1, "s": 31.5, **bench_record.parse_tier1(TIER1_OUT)}
     assert bench_record.run_tier1(tmp_path) == {
         "exit": None, "error": "timed out after 1800 s"}
+
+
+class _Usage:
+    """A getrusage result whose counters grow by n * (10 faults, 0.25 s)."""
+
+    def __init__(self, n):
+        self.ru_minflt, self.ru_stime = 10 * n * n, 0.25 * n * n
+
+
+def _fake_getrusage(monkeypatch):
+    ticks = iter(range(1000))
+
+    def getrusage(who):
+        assert who == bench_record.resource.RUSAGE_CHILDREN
+        return _Usage(next(ticks))
+    monkeypatch.setattr(bench_record.resource, "getrusage", getrusage)
+
+
+def test_children_faults_and_system_time_are_recorded(tmp_path, monkeypatch):
+    stdout = "\n".join([
+        json.dumps({"report": {"output_digest": "ab", "end_to_end": {}}}),
+        json.dumps({"correct": True, "attempted": 3, "failed": 0}),
+    ]) + "\n"
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda cmd, **kw:
+                        subprocess.CompletedProcess(cmd, 0, stdout=stdout, stderr=""))
+    _fake_getrusage(monkeypatch)
+    # the getrusage pairs are (0, 1) and (2, 3)
+    run = bench_record.run_bench(tmp_path, "uncoded-sim", 5, 1.0, 0)
+    assert run["rusage"] == {"minflt": 10, "stime_s": 0.25}
+    run = bench_record.run_example(tmp_path, ["uncoded", "--rho", "0.5"])
+    assert (run["minflt"], run["stime_s"]) == (50, 1.25)
+
+
+def test_record_summarizes_faults_per_workload_and_example(tmp_path, monkeypatch):
+    def fake_bench(path, workload, seed, seconds, trace):
+        return {"seed": seed, "exit": 0, "correct": True, "end_to_end": {},
+                "rusage": {"minflt": seed, "stime_s": seed / 100}}
+
+    monkeypatch.setattr(bench_record, "run_bench", fake_bench)
+    monkeypatch.setattr(bench_record, "run_verify", lambda path, threads: {"exit": 0})
+    monkeypatch.setattr(bench_record, "run_tier1", lambda path: {"exit": 0})
+    monkeypatch.setattr(bench_record, "tree_facts", lambda path: {})
+    monkeypatch.setattr(bench_record.subprocess, "run", lambda cmd, **kw:
+                        subprocess.CompletedProcess(cmd, 0))
+    _fake_getrusage(monkeypatch)
+    (tmp_path / "README.md").write_text(README)
+    out = bench_record.record({"a": tmp_path}, [1, 2, 3, 4], 1.0,
+                              {"uncoded-sim": 4}, log=lambda msg: None)
+    usage = out["a"]["workloads"]["uncoded-sim"]["rusage"]
+    assert usage["minflt"]["median"] == 2.5 and usage["minflt"]["n"] == 4
+    assert usage["stime_s"]["median"] == pytest.approx(0.025)
+    bounds = out["a"]["cli"]["bounds --rho 0.5 --d1 0.5 --d2 0.5"]
+    # run r of the first example spans getrusage calls 4r and 4r + 1
+    assert bounds["minflt"] == [10 * (8 * r + 1) for r in range(bench_record.CLI_REPEATS)]
+    assert bounds["median_minflt"] == statistics.median(bounds["minflt"])
+    assert bounds["median_stime_s"] == statistics.median(bounds["stime_s"])

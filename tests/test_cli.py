@@ -655,3 +655,49 @@ def test_verify_criteria_naming_none_exits_1(capsys, spec):
     code, out, err = run_cli(capsys, "verify", "--criteria", spec)
     assert (code, out) == (1, "")
     assert err == "error: no criteria named\n"
+
+
+@pytest.mark.parametrize("cmd, flags, want", [
+    ("uncoded", ("--sigma2", "1e300", "--p", "1e300"), 2.5e299),
+    ("uncoded", ("--p", "1e308"), 0.25),
+    ("bounds", ("--sigma2", "1e300", "--p", "1e300", "--d1", "1e299", "--d2", "1e299"),
+     2.5e299),
+    ("simulate-uncoded", ("--sigma2", "1e300", "--p", "1e300", "--trials", "10"),
+     2.5e299),
+])
+def test_uncoded_at_extreme_scales_stays_finite(capsys, cmd, flags, want):
+    # sigma^2 times a power, or Var(y), once overflowed to a null or a zero d1
+    code, out, err = run_cli(capsys, cmd, "--rho", "0.5", *flags)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    check_schema(doc, cmd)
+    key = {"uncoded": "d1", "bounds": "uncoded_d1"}.get(cmd, "analytic_d1")
+    assert doc[key] == pytest.approx(want, rel=1e-13)
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_simulate_uncoded_overflowing_sums_exit_1(capsys, threads):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate-uncoded", "--rho", "0.5", "--p", "1e308",
+                                 "--trials", "10", "--threads", threads)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (("bounds", "--var1", "1", "--var2", "1e-300", "--d1", "0.5", "--d2", "1e10"),
+     "error: --d2 1e+10 divided by the variance ratio --var2/--var1 = 1e-300 overflows\n"),
+    (("bounds", "--var1", "1e-100", "--var2", "1e100", "--d1", "1e-101", "--d2", "1e-150"),
+     "error: --d2 1e-150 divided by the variance ratio --var2/--var1 = 1e+200 "
+     "underflows to 0\n"),
+    (("bounds", "--var1", "1e300", "--var2", "1e-300", "--d1", "0.5", "--d2", "0.5"),
+     "error: the variance ratio --var2/--var1 = 1e-300/1e+300 underflows to 0\n"),
+    (("uncoded", "--var1", "1e-300", "--var2", "1e300"),
+     "error: the variance ratio --var2/--var1 = 1e+300/1e-300 overflows\n"),
+    (("sweep", "--var1", "1e300", "--var2", "1e-300", "--boundary"),
+     "error: the variance ratio --var2/--var1 = 1e-300/1e+300 underflows to 0\n"),
+])
+def test_canonicalization_range_errors_name_their_flags(capsys, argv, err):
+    code, out, got = run_cli(capsys, argv[0], "--rho", "0.5", *argv[1:])
+    assert (code, out, got) == (1, "", err)

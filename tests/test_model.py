@@ -146,6 +146,37 @@ def test_sampling_perfect_correlation():
     assert np.allclose(batch.s1, batch.s2, rtol=0, atol=1e-12)
 
 
+def _two_rows_then_noise(c, n, seed):
+    """s1, s2 and z from a (2, n) draw and then an n draw, fresh arrays each."""
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((2, n))
+    zg = rng.standard_normal(n)
+    sd = math.sqrt(c.sigma_sq)
+    return (sd * g[0], sd * (c.rho * g[0] + math.sqrt(1.0 - c.rho * c.rho) * g[1]),
+            math.sqrt(c.noise_var) * zg)
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("n", [1, 32, 65_536])
+def test_sampling_in_place_equals_two_rows_then_noise(n):
+    c = CanonicalInstance(2.0, 0.6, 1.0, 1.0, 0.7)
+    out = np.full((4, n + 9), np.nan)
+    for seed in (17, 18):
+        want = [_bits(a) for a in _two_rows_then_noise(c, n, seed)]
+        fresh = sample_source_and_noise(c, n, seed)
+        reused = sample_source_and_noise(c, n, seed, out=out)
+        for batch in (fresh, reused):
+            got = [_bits(a) for a in (batch.s1, batch.s2, batch.z)]
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert all(np.shares_memory(a, out[i, :n])
+                   for i, a in enumerate((reused.s1, reused.s2, reused.z)))
+    # nothing outside out[:3, :n] is written
+    assert np.isnan(out[3]).all() and np.isnan(out[:, n:]).all()
+
+
 def test_sampling_rejects_empty_batch():
     c = symmetric_instance(1.0, 0.0, 1.0, 1.0)
     with pytest.raises(ValueError):

@@ -1,19 +1,33 @@
 import math
+import sys
 import tracemalloc
 
+import mpmath
+import numpy as np
 import pytest
 
-from gmacdist.model import CanonicalInstance, symmetric_instance
+from gmacdist.model import (
+    CanonicalInstance,
+    ProblemInstance,
+    TrialCountError,
+    canonicalize,
+    derive_seed,
+    symmetric_instance,
+)
 from gmacdist.rd_bounds import symmetric_outer_bound
 from gmacdist.uncoded import (
+    UncodedSimResult,
     optimality_threshold,
     simulate_uncoded,
     symmetric_uncoded_bound,
     uncoded_distortions,
 )
-from gmacdist.model import TrialCountError
 
+# the README instance
 INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
+# negative correlation, unequal variances and powers
+ASYM = canonicalize(ProblemInstance(2.0, 0.5, -0.7, 1.5, 4.0, 0.8))
+CHUNK = 1 << 16
 
 
 def test_desk_values_at_threshold():
@@ -124,3 +138,124 @@ def test_simulation_trial_cap_refuses_before_allocating():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _simulate_reference(c, trials, seed):
+    """The allocating chunk formula: a (2, n) draw then an n draw per chunk,
+    fresh arrays for every intermediate, chunk sums reduced in order."""
+    res = uncoded_distortions(c)
+    chunks = -(-trials // CHUNK)
+    sums = np.zeros((chunks, 4))
+    for k in range(chunks):
+        size = min(CHUNK, trials - k * CHUNK)
+        rng = np.random.default_rng(derive_seed(seed, k))
+        g = rng.standard_normal((2, size))
+        zg = rng.standard_normal(size)
+        sd = math.sqrt(c.sigma_sq)
+        s1 = sd * g[0]
+        s2 = sd * (c.rho * g[0] + math.sqrt(1.0 - c.rho * c.rho) * g[1])
+        z = math.sqrt(c.noise_var) * zg
+        x1 = res.gain1 * s1
+        x2 = res.gain2 * s2
+        y = x1 + x2 + z
+        e1 = s1 - res.lmmse1 * y
+        e2 = s2 - res.lmmse2 * y
+        sums[k] = (e1 @ e1, e2 @ e2, x1 @ x1, x2 @ x2)
+    total = sums.sum(axis=0)
+    return UncodedSimResult(d1=total[0] / trials, d2=total[1] / trials,
+                            power1=total[2] / trials, power2=total[3] / trials,
+                            trials=trials, seed=seed)
+
+
+@pytest.mark.parametrize("c", [INST, ASYM], ids=["readme", "asym"])
+@pytest.mark.parametrize("trials", [1, 5, CHUNK, CHUNK + 1, 3 * CHUNK + 17, 200_000])
+def test_scratch_simulation_equals_allocating_reference(c, trials):
+    want = _simulate_reference(c, trials, 31)
+    for threads in (1, 2, 4):
+        assert simulate_uncoded(c, trials, 31, threads=threads) == want
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak
+
+
+def test_scratch_is_one_block_per_worker_sized_by_trials():
+    # six rows of one chunk are 3 MiB; a fresh array per intermediate
+    # peaked at 4.5 MiB
+    assert _traced_peak(lambda: simulate_uncoded(INST, 4 * CHUNK, seed=2)) < 3.5 * 2**20
+    assert _traced_peak(lambda: simulate_uncoded(INST, 5, seed=2)) < 64 << 10
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="minor page faults are read from Linux getrusage")
+def test_warm_call_reuses_its_pages():
+    import resource
+
+    # a fresh array per intermediate faulted about 20,000 pages in here
+    simulate_uncoded(INST, 1 << 20, seed=3)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    simulate_uncoded(INST, 1 << 20, seed=3)
+    assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 4096
+
+
+def test_overflowing_sums_are_refused():
+    c = symmetric_instance(1.0, 0.5, 1e308, 1.0)
+    with np.errstate(all="raise"):
+        with pytest.raises(ValueError, match="overflow"):
+            simulate_uncoded(c, 10, seed=1)
+        with pytest.raises(ValueError, match="overflow"):
+            simulate_uncoded(c, CHUNK + 1, seed=1, threads=2)
+
+
+def _mp_uncoded(c):
+    """uncoded_distortions' d1, d2, lmmse1 and lmmse2 at 60 digits."""
+    with mpmath.workdps(60):
+        s2, rho, p1, p2, noise = (mpmath.mpf(v) for v in
+                                  (c.sigma_sq, c.rho, c.p1, c.p2, c.noise_var))
+        var_y = p1 + p2 + 2 * rho * mpmath.sqrt(p1 * p2) + noise
+        sd = mpmath.sqrt(s2)
+        return tuple(float(v) for v in (
+            s2 * (p2 * (1 - rho * rho) + noise) / var_y,
+            s2 * (p1 * (1 - rho * rho) + noise) / var_y,
+            sd * (mpmath.sqrt(p1) + rho * mpmath.sqrt(p2)) / var_y,
+            sd * (mpmath.sqrt(p2) + rho * mpmath.sqrt(p1)) / var_y))
+
+
+@pytest.mark.parametrize("c", [
+    symmetric_instance(1e300, 0.5, 1e300, 1.0),     # sigma_sq * p overflows
+    symmetric_instance(1.0, 0.5, 1e308, 1.0),       # var_y overflows
+    CanonicalInstance(1e300, 0.9, 1e308, 1e200, 1e-300),
+    CanonicalInstance(1e-300, 0.3, 1e-300, 2e-300, 1e-300),  # products underflow
+    CanonicalInstance(1e-200, 0.0, 1e-150, 1e-160, 1e-170),
+    CanonicalInstance(3.0, 0.999, 1e-320, 1e-310, 1e-305),   # subnormal powers
+    CanonicalInstance(1e300, 0.2, 1e-300, 1e-300, 1e300),
+    CanonicalInstance(1e300, 0.5, 1e300, 1e-300, 1e-300),   # only d1 is scaled
+])
+def test_distortions_at_extreme_scales_match_mpmath(c):
+    res = uncoded_distortions(c)
+    want = _mp_uncoded(c)
+    got = (res.d1, res.d2, res.lmmse1, res.lmmse2)
+    assert all(_TINY <= v < math.inf for v in got)
+    assert got == pytest.approx(want, rel=1e-13)
+
+
+_TINY = sys.float_info.min
+
+
+@pytest.mark.parametrize("c", [INST, ASYM, CanonicalInstance(1.0, 0.3, 1.0, 4.0, 2.0),
+                               symmetric_instance(1e100, 0.9, 1e120, 1e-100)])
+def test_distortions_in_range_keep_the_direct_expressions(c):
+    cross = 2.0 * c.rho * c.sqrt_p1p2
+    var_y = c.p1 + c.p2 + cross + c.noise_var
+    sd = math.sqrt(c.sigma_sq)
+    res = uncoded_distortions(c)
+    assert res.d1 == c.sigma_sq * (c.p2 * (1.0 - c.rho * c.rho) + c.noise_var) / var_y
+    assert res.d2 == c.sigma_sq * (c.p1 * (1.0 - c.rho * c.rho) + c.noise_var) / var_y
+    assert res.lmmse1 == sd * (math.sqrt(c.p1) + c.rho * math.sqrt(c.p2)) / var_y
+    assert res.lmmse2 == sd * (math.sqrt(c.p2) + c.rho * math.sqrt(c.p1)) / var_y

@@ -13,14 +13,16 @@ checkout the file records:
 
 - each ``bench/run.py`` workload at 3 seeds (or ``SEEDS`` seeds when
   ``--workloads`` names it ``NAME:SEEDS``), untraced: every run's end-to-end
-  metrics, exit status, correctness and output digest, and per metric the
-  median and quartiles over the runs; for the first three seeds also a
-  traced run, and the median of its per-layer metrics;
+  metrics, exit status, correctness, output digest, minor page faults and
+  system CPU seconds, and per metric the median and quartiles over the runs;
+  for the first three seeds also a traced run, and the median of its
+  per-layer metrics;
 - ``gmacdist verify --timings`` at ``--threads`` 1 and 4 (seed 7), run
   once each: each criterion's seconds;
 - each ``gmacdist`` command of the checkout's README.md sh blocks, run as
   ``python3 -m gmacdist`` in a subprocess 5 times: every wall time in
-  seconds, their median and the exit statuses;
+  seconds, minor page fault count and system CPU time, their medians and
+  the exit statuses;
 - the tier-1 suite (``python3 -m pytest -q --continue-on-collection-errors``
   in the checkout, with ``--durations=5``), run once: its wall time, exit
   status, outcome counts and five slowest test phases;
@@ -31,8 +33,10 @@ The machine facts are recorded once: ``nproc``, Python, numpy, the BLAS
 library with its core and default thread count, and
 ``OPENBLAS_NUM_THREADS``.  The runs alternate between the checkouts seed by
 seed (and README example runs repeat by repeat), reversing the order on
-every other one, so the drift of a shared host falls on all of them alike.  Only the benchmark's own processes are timed;
-no machine setting is changed.
+every other one, so the drift of a shared host falls on all of them alike.
+Only the benchmark's own processes are timed; their page faults and system
+CPU time are ``getrusage(RUSAGE_CHILDREN)`` differences around each run.
+No machine setting is changed.
 """
 from __future__ import annotations
 
@@ -44,6 +48,7 @@ import json
 import os
 import platform
 import re
+import resource
 import shlex
 import statistics
 import subprocess
@@ -158,17 +163,27 @@ def parse_timings(stderr: str) -> dict:
     return out
 
 
+def run_child(cmd: list, **kwargs):
+    """subprocess.run(cmd, **kwargs) and the child's minor page faults and
+    system CPU seconds, as getrusage(RUSAGE_CHILDREN) differences."""
+    before = resource.getrusage(resource.RUSAGE_CHILDREN)
+    proc = subprocess.run(cmd, **kwargs)
+    after = resource.getrusage(resource.RUSAGE_CHILDREN)
+    return proc, {"minflt": after.ru_minflt - before.ru_minflt,
+                  "stime_s": after.ru_stime - before.ru_stime}
+
+
 def run_bench(path: Path, workload: str, seed: int, seconds: float,
               trace: int) -> dict:
     cmd = [sys.executable, str(path / "bench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     try:
-        proc = subprocess.run(cmd, capture_output=True, text=True,
-                              timeout=10 * seconds + 600)
+        proc, usage = run_child(cmd, capture_output=True, text=True,
+                                timeout=10 * seconds + 600)
     except subprocess.TimeoutExpired as e:
         return {"seed": seed, "exit": None, "correct": False,
                 "error": f"timed out after {e.timeout} s"}
-    run = {"seed": seed, "exit": proc.returncode}
+    run = {"seed": seed, "exit": proc.returncode, "rusage": usage}
     try:
         run.update(parse_bench_output(proc.stdout))
     except ValueError as e:
@@ -234,25 +249,28 @@ def readme_examples(text: str) -> list:
 
 
 def run_example(path: Path, args: list) -> dict:
-    """One README example, run once: its wall time and exit status."""
+    """One README example, run once: its wall time, exit status, minor page
+    faults and system CPU seconds."""
     env = dict(os.environ, PYTHONPATH=str(path / "src"))
     start = time.perf_counter()
     try:
-        proc = subprocess.run([sys.executable, "-m", "gmacdist", *args],
-                              capture_output=True, env=env, timeout=1800)
+        proc, usage = run_child([sys.executable, "-m", "gmacdist", *args],
+                                capture_output=True, env=env, timeout=1800)
     except subprocess.TimeoutExpired as e:
         return {"exit": None, "error": f"timed out after {e.timeout} s"}
-    return {"exit": proc.returncode, "s": time.perf_counter() - start}
+    return {"exit": proc.returncode, "s": time.perf_counter() - start, **usage}
 
 
 def run_examples(trees: dict, log=print) -> dict:
-    """label -> {command line: its runs' seconds, median and exits} for each
-    README example of each checkout, CLI_REPEATS runs each."""
+    """label -> {command line: its runs' seconds, minor faults and system
+    CPU seconds, their medians, and the exits} for each README example of
+    each checkout, CLI_REPEATS runs each."""
     out = {}
     for label, path in trees.items():
         readme = path / "README.md"
         examples = readme_examples(readme.read_text()) if readme.is_file() else []
-        out[label] = {shlex.join(args): {"args": args, "runs_s": [], "exits": []}
+        out[label] = {shlex.join(args): {"args": args, "runs_s": [], "minflt": [],
+                                         "stime_s": [], "exits": []}
                       for args in examples}
     labels = list(trees)
     for n in range(CLI_REPEATS):
@@ -262,14 +280,18 @@ def run_examples(trees: dict, log=print) -> dict:
                 entry["exits"].append(run["exit"])
                 if "s" in run:
                     entry["runs_s"].append(run["s"])
+                    entry["minflt"].append(run["minflt"])
+                    entry["stime_s"].append(run["stime_s"])
                 else:
                     entry["error"] = run["error"]
             log(f"{label} README examples, run {n + 1} of {CLI_REPEATS}")
     for examples in out.values():
         for entry in examples.values():
             del entry["args"]
-            entry["median_s"] = (statistics.median(entry["runs_s"])
-                                 if entry["runs_s"] else None)
+            for key, runs in (("median_s", "runs_s"), ("median_minflt", "minflt"),
+                              ("median_stime_s", "stime_s")):
+                entry[key] = (statistics.median(entry[runs])
+                              if entry[runs] else None)
     return out
 
 
@@ -302,6 +324,7 @@ def record(trees: dict, seeds: list, seconds: float, workloads: dict,
             entry["all_correct"] = all(r.get("correct") for r in
                                        entry["runs"] + entry["traced_runs"])
             entry["end_to_end"] = summarize_runs(entry["runs"], "end_to_end")
+            entry["rusage"] = summarize_runs(entry["runs"], "rusage")
             entry["per_layer"] = summarize_runs(entry["traced_runs"], "per_layer")
     for threads in VERIFY_THREADS:
         for label in labels:
