@@ -28,6 +28,8 @@ INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
 # negative correlation, unequal variances and powers
 ASYM = canonicalize(ProblemInstance(2.0, 0.5, -0.7, 1.5, 4.0, 0.8))
 CHUNK = 1 << 16
+# smallest positive normal double
+_TINY = sys.float_info.min
 
 
 def test_desk_values_at_threshold():
@@ -243,9 +245,6 @@ def test_distortions_at_extreme_scales_match_mpmath(c):
     got = (res.d1, res.d2, res.lmmse1, res.lmmse2)
     assert all(_TINY <= v < math.inf for v in got)
     assert got == pytest.approx(want, rel=1e-13)
-
-
-_TINY = sys.float_info.min
 
 
 @pytest.mark.parametrize("c", [INST, ASYM, CanonicalInstance(1.0, 0.3, 1.0, 4.0, 2.0),
