@@ -84,16 +84,16 @@ def _instance_from_args(args) -> ProblemInstance:
 
 
 def _canonical(inst: ProblemInstance):
-    """canonicalize(inst), refusing a variance ratio outside the float64 range."""
+    """canonicalize(inst), refusing a variance ratio outside the normal float64 range."""
     ratio = inst.sigma2_sq / inst.sigma1_sq
-    if not 0.0 < ratio < math.inf:
+    if not sys.float_info.min <= ratio < math.inf:
         raise CliError(f"the variance ratio --var2/--var1 = {inst.sigma2_sq:g}/"
                        f"{inst.sigma1_sq:g} {_range_fault(ratio)}")
     return canonicalize(inst)
 
 
 def _range_fault(v: float) -> str:
-    return "underflows to 0" if v == 0.0 else "overflows"
+    return "overflows" if v >= 1.0 else "underflows to 0" if v == 0.0 else "underflows"
 
 
 def _jsonable(obj):

@@ -95,9 +95,12 @@ def _scaled_distortions(c: CanonicalInstance) -> tuple:
 
 def symmetric_uncoded_bound(sigma_sq: float, rho: float, p: float, noise_var: float) -> float:
     """Common distortion of uncoded transmission with equal powers."""
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("correlation must lie in [0, 1]")
-    return sigma_sq * (p * (1.0 - rho * rho) + noise_var) / (2.0 * p * (1.0 + rho) + noise_var)
+    c = CanonicalInstance(sigma_sq, rho, p, p, noise_var)  # checks the arguments
+    num = sigma_sq * (p * (1.0 - rho * rho) + noise_var)
+    den = 2.0 * p * (1.0 + rho) + noise_var
+    if _TINY <= min(num, den, d := num / den) and max(num, den, d) < math.inf:
+        return d
+    return _scaled_distortions(c)[0]
 
 
 def optimality_threshold(rho: float) -> float:

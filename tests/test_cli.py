@@ -9,6 +9,7 @@ import tracemalloc
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 
 import gmacdist.cli as cli
@@ -276,6 +277,41 @@ def test_sweep_boundary_json(capsys):
     assert rows[0]["outer_d2"] is None
     assert rows[-1]["d1"] == pytest.approx(1.0, rel=1e-12)
     assert rows[-1]["outer_d2"] == pytest.approx(1.0 / 3.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("instance", [
+    ("--sigma2", "1", "--rho", "0.5", "--p", "4", "--noise", "1"),
+    ("--sigma2", "1", "--rho", "0.5", "--p", "1e12", "--noise", "1"),
+    ("--var1", "1.5", "--var2", "0.4", "--rho", "-0.7", "--p1", "3", "--p2", "0.8",
+     "--noise", "0.5"),
+])
+def test_bounds_verdict_flips_at_the_boundary_column(capsys, instance):
+    code, out, _ = run_cli(capsys, "sweep", *instance, "--boundary",
+                           "--resolution", "16", "--format", "json")
+    assert code == 0
+    var2 = 0.4 if "--var2" in instance else 1.0
+    # at the second variance itself the converse may hold with room to spare
+    rows = [r for r in json.loads(out)
+            if r["outer_d2"] is not None and r["outer_d2"] < var2 * (1.0 - 1e-12)]
+    assert len(rows) >= 3
+    for row in rows:
+        for factor, ruled_out in ((1.0 + 1e-9, False), (1.0 - 1e-9, True)):
+            code, out, _ = run_cli(capsys, "bounds", *instance, "--d1", repr(row["d1"]),
+                                   "--d2", repr(row["outer_d2"] * factor))
+            assert code == 0
+            assert (json.loads(out)["verdict"] == "UNACHIEVABLE") is ruled_out, (row, factor)
+
+
+def test_sweep_uncoded_column_at_extreme_scale(capsys):
+    code, out, _ = run_cli(capsys, "sweep", "--rho", "0.5", "--sigma2", "1e300",
+                           "--snr-grid", "1e300:1e300:1:log", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    check_schema(rows, "sweep-snr")
+    with mpmath.workdps(60):
+        s2, p = mpmath.mpf(1e300), mpmath.mpf(1e300)
+        want = float(s2 * (p * mpmath.mpf(0.75) + 1) / (2 * p * mpmath.mpf(1.5) + 1))
+    assert rows[0]["uncoded_d"] == pytest.approx(want, rel=1e-12)
 
 
 def test_sweep_boundary_csv(capsys):
@@ -697,6 +733,11 @@ def test_simulate_uncoded_overflowing_sums_exit_1(capsys, threads):
      "error: the variance ratio --var2/--var1 = 1e+300/1e-300 overflows\n"),
     (("sweep", "--var1", "1e300", "--var2", "1e-300", "--boundary"),
      "error: the variance ratio --var2/--var1 = 1e-300/1e+300 underflows to 0\n"),
+    # a subnormal ratio once gave uncoded_d2 = 4.374999999999986e-11
+    (("bounds", "--var1", "1e300", "--var2", "1e-10", "--d1", "0.5", "--d2", "0.5"),
+     "error: the variance ratio --var2/--var1 = 1e-10/1e+300 underflows\n"),
+    (("uncoded", "--var1", "1", "--var2", "1e-310"),
+     "error: the variance ratio --var2/--var1 = 1e-310/1 underflows\n"),
 ])
 def test_canonicalization_range_errors_name_their_flags(capsys, argv, err):
     code, out, got = run_cli(capsys, argv[0], "--rho", "0.5", *argv[1:])

@@ -1,12 +1,22 @@
+import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 
 import gmacdist.region as region
-from gmacdist.model import CanonicalInstance, DistortionPair, symmetric_instance
-from gmacdist.rd_bounds import capacity_term, symmetric_outer_bound
+from gmacdist.model import (
+    CanonicalInstance,
+    DistortionPair,
+    ProblemInstance,
+    canonicalize,
+    symmetric_instance,
+)
+from gmacdist.rd_bounds import capacity_term, rd_rate, symmetric_outer_bound
 from gmacdist.region import (
     MAX_SWEEP_POINTS,
     SweepRow,
@@ -27,6 +37,10 @@ from gmacdist.vq_analytic import (
 )
 
 INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
+# the instances of the two boundary goldens
+BOUNDARY = symmetric_instance(1.0, 0.5, 4.0, 1.0)
+BOUNDARY_ASYM = canonicalize(ProblemInstance(1.5, 0.4, -0.7, 3.0, 0.8, 0.5))
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def test_verdict_desk_cases():
@@ -363,3 +377,129 @@ def test_sweep_point_cap():
         check_sweep_points(MAX_SWEEP_POINTS + 1)
     with pytest.raises(ValueError, match="cap is"):
         trace_region_boundary(INST, resolution=MAX_SWEEP_POINTS + 1)
+
+
+def _mp_rate(rho, x, y):
+    """rd_rate's regimes at targets x, y in units of the variance, in mpmath."""
+    a, b = min(x, y), min(max(x, y), 1)
+    if a >= 1:
+        return mpmath.mpf(0)
+    one = 1 - rho * rho
+    if b < (one - a) / (1 - a):
+        rate = mpmath.log(one / (a * b), 2) / 2
+    elif b > one + rho * rho * a or rho == 1:
+        rate = -mpmath.log(a, 2) / 2
+    else:
+        rate = mpmath.log(one / (a * b - (rho - mpmath.sqrt((1 - a) * (1 - b))) ** 2), 2) / 2
+    return max(rate, 0)
+
+
+def _mp_outer_d2(c, d1):
+    """rd_rate = cap solved for d2 at 60 digits: a bracketing root search on
+    log2(d2 / sigma_sq) of the rate, which falls as d2 grows; NaN where the
+    converse rules out (d1, sigma_sq) already."""
+    with mpmath.workdps(60):
+        s2, rho, p1, p2, noise = map(mpmath.mpf, (c.sigma_sq, c.rho, c.p1, c.p2, c.noise_var))
+        cap = mpmath.log(1 + (p1 + p2 + 2 * rho * mpmath.sqrt(p1 * p2)) / noise, 2) / 2
+        x = min(mpmath.mpf(d1) / s2, 1)
+        if _mp_rate(rho, x, 1) > cap:
+            return math.nan
+
+        def excess(t):
+            return _mp_rate(rho, x, mpmath.mpf(2) ** t) - cap
+
+        t = 0
+        if excess(0) < 0:
+            t = mpmath.findroot(excess, (-4200, 0), solver="anderson", tol=1e-50)
+        return float(s2 * mpmath.mpf(2) ** t)
+
+
+def _extreme_instances(count, seed):
+    """Instances with variances from 1e-300 to 1e300 and power-to-noise
+    ratios up to 1e300, each correlation of 0, 1, 1 - 1e-9 and U(0, 1) in turn."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for i in range(count):
+        snr = rng.uniform(-3, 300, 2)
+        noise = 10 ** rng.uniform(-300, 307 - snr.max())
+        p1, p2 = (noise * 10 ** snr).tolist()
+        out.append(CanonicalInstance(float(10 ** rng.uniform(-300, 300)),
+                                     [0.0, 1.0, 1.0 - 1e-9, float(rng.uniform())][i % 4],
+                                     p1, p2, float(noise)))
+    return out
+
+
+# the subnormal root of the column below once rounded under the converse's
+# slack and the inverse fell through to the intermediate root, 0.72 sigma^2
+PINNED = symmetric_instance(1.77e-87, 0.519, 2.5059361431169142e+228, 1.0)
+
+
+@pytest.mark.parametrize("c", [
+    BOUNDARY,
+    BOUNDARY_ASYM,
+    symmetric_instance(1.0, 0.5, 1e12, 1.0),
+    symmetric_instance(1.0, 0.0, 1.0, 1.0),
+    symmetric_instance(1.0, 1.0, 1e3, 1.0),
+    PINNED,
+    *[CanonicalInstance(c.sigma_sq, min(c.rho, 0.95), c.p1, c.p2, c.noise_var)
+      for c in _extreme_instances(12, 21)],
+])
+def test_outer_column_matches_mpmath_inverse(c):
+    # rd_rate takes 1 - rho^2 in float64, so correlations near 1 are left
+    # to the converse test below
+    cap = capacity_term(c)
+    for d1 in np.geomspace(1e-4 * c.sigma_sq, c.sigma_sq, 16).tolist():
+        got, want = region._min_outer_d2(c, d1, cap), _mp_outer_d2(c, d1)
+        assert math.isnan(got) == math.isnan(want), d1
+        if got >= sys.float_info.min:
+            assert got == pytest.approx(want, rel=1e-13), d1
+
+
+def test_boundary_goldens_hold_the_exact_column():
+    lines = (GOLDEN / "sweep-boundary.csv").read_text().splitlines()[1:]
+    for d1, line in zip(np.geomspace(1e-4, 1.0, 64).tolist(), lines, strict=True):
+        assert line.split(",")[1] == f"{_mp_outer_d2(BOUNDARY, d1):.12g}", d1
+    for row in json.loads((GOLDEN / "sweep-boundary-asym.json").read_text()):
+        want = _mp_outer_d2(BOUNDARY_ASYM, row["d1"]) * BOUNDARY_ASYM.scale2
+        if math.isnan(want):
+            assert row["outer_d2"] is None
+        else:
+            assert row["outer_d2"] == pytest.approx(want, rel=1e-13), row
+
+
+def test_pinned_subnormal_column_value():
+    d1 = 1e-4 * PINNED.sigma_sq
+    got = region._min_outer_d2(PINNED, d1, capacity_term(PINNED))
+    # within the two subnormal steps of the exact root that rounding and
+    # the step up allow
+    assert 0.0 <= got - _mp_outer_d2(PINNED, d1) <= 1e-323
+    assert got == pytest.approx(1.6987e-312, rel=1e-4)
+
+
+def test_outer_column_is_the_converse_edge():
+    for c in (PINNED, *_extreme_instances(200, 22)):
+        cap = capacity_term(c)
+        for d1 in np.geomspace(1e-4 * c.sigma_sq, c.sigma_sq, 9).tolist():
+            d2 = region._min_outer_d2(c, d1, cap)
+            if math.isnan(d2):
+                assert cap < rd_rate(c, DistortionPair(d1, c.sigma_sq)) - 1e-12, (c, d1)
+                continue
+            rate = rd_rate(c, DistortionPair(d1, d2))
+            assert cap >= rate - 1e-12, (c, d1)
+            # at sigma_sq the rate may lie below the cap, and a subnormal d2
+            # is too coarse to be tight
+            if d2 < c.sigma_sq and d2 >= sys.float_info.min:
+                assert rate == pytest.approx(cap, abs=1e-12), (c, d1)
+                assert cap < rd_rate(c, DistortionPair(d1, d2 * (1.0 - 1e-9))) - 1e-12, (c, d1)
+
+
+@pytest.mark.parametrize("c", [
+    symmetric_instance(1.0, 0.5, 1e12, 1.0),
+    symmetric_instance(1.0, 0.5, 1e16, 1.0),
+    symmetric_instance(1e300, 0.5, 1e300, 1.0),
+])
+def test_scheme_columns_never_beat_the_converse(c):
+    for pt in trace_region_boundary(c, resolution=64):
+        assert not math.isnan(pt.outer_d2)
+        for d2 in (pt.vq_d2, pt.uncoded_d2):
+            assert math.isnan(d2) or d2 >= pt.outer_d2 * (1.0 - 1e-12)

@@ -245,6 +245,9 @@ def test_distortions_at_extreme_scales_match_mpmath(c):
     got = (res.d1, res.d2, res.lmmse1, res.lmmse2)
     assert all(_TINY <= v < math.inf for v in got)
     assert got == pytest.approx(want, rel=1e-13)
+    if c.p1 == c.p2:
+        sym = symmetric_uncoded_bound(c.sigma_sq, c.rho, c.p1, c.noise_var)
+        assert sym == pytest.approx(want[0], rel=1e-13)
 
 
 @pytest.mark.parametrize("c", [INST, ASYM, CanonicalInstance(1.0, 0.3, 1.0, 4.0, 2.0),
@@ -258,3 +261,7 @@ def test_distortions_in_range_keep_the_direct_expressions(c):
     assert res.d2 == c.sigma_sq * (c.p1 * (1.0 - c.rho * c.rho) + c.noise_var) / var_y
     assert res.lmmse1 == sd * (math.sqrt(c.p1) + c.rho * math.sqrt(c.p2)) / var_y
     assert res.lmmse2 == sd * (math.sqrt(c.p2) + c.rho * math.sqrt(c.p1)) / var_y
+    if c.p1 == c.p2:
+        p, n = c.p1, c.noise_var
+        assert symmetric_uncoded_bound(c.sigma_sq, c.rho, p, n) == (
+            c.sigma_sq * (p * (1.0 - c.rho * c.rho) + n) / (2.0 * p * (1.0 + c.rho) + n))
