@@ -28,6 +28,7 @@ from .model import (
 )
 from .rd_bounds import ConvergenceError
 from .region import (
+    TRACE_D1_START,
     BoundaryPoint,
     SweepRow,
     check_sweep_points,
@@ -276,6 +277,10 @@ def _cmd_sweep(args) -> int:
         if args.convexify:
             raise CliError("--convexify applies only to --snr-grid sweeps")
         c = _canonical(_instance_from_args(args))
+        if TRACE_D1_START * c.sigma_sq == 0.0:
+            flag = "--sigma2" if args.var1 is None else "--var1"
+            raise CliError(f"the boundary trace's smallest d1, {TRACE_D1_START:g} * "
+                           f"{flag} = {TRACE_D1_START:g} * {c.sigma_sq:g}, underflows to 0")
         points = trace_region_boundary(c, resolution=args.resolution)
         rows = [(p.d1, p.outer_d2 * c.scale2,
                  p.uncoded_d2 * c.scale2, p.vq_d2 * c.scale2) for p in points]

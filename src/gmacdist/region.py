@@ -40,6 +40,9 @@ MAX_SWEEP_POINTS = 1 << 16
 # each transient (targets, 64, 64) coarse-grid array stays near 1 MiB
 _TRACE_BATCH = 32
 
+# a boundary trace's d1 grid runs from this fraction of sigma_sq to sigma_sq
+TRACE_D1_START = 1e-4
+
 
 def check_sweep_points(points: int) -> None:
     """Refuse, before its grid is allocated, a sweep of more than
@@ -325,7 +328,7 @@ def trace_region_boundary(c: CanonicalInstance, resolution: int = 64) -> list:
     cap = capacity_term(c)
     unc = uncoded_distortions(c)
     coarse = _coarse_grid(c)
-    d1s = np.geomspace(1e-4 * c.sigma_sq, c.sigma_sq, resolution)
+    d1s = np.geomspace(TRACE_D1_START * c.sigma_sq, c.sigma_sq, resolution)
     limits = d1s * (1.0 + _REL_TOL)
     vq_d2s = []
     for start in range(0, resolution, _TRACE_BATCH):

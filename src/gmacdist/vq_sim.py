@@ -11,6 +11,7 @@ read once per block by one GEMM rather than once per trial.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -32,6 +33,8 @@ _SEED_WORDS = 64
 _ORDER_BLOCK = 64
 _SCAN_ROWS = 8
 _SCAN_BLOCK_BYTES = 4 << 20
+# relative band below the decoder's column threshold (see _filter_candidates)
+_FILTER_BAND = 2.0 ** -40
 
 # codebook rows drawn and normalized at a time, while they are in cache
 _FILL_BLOCK_BYTES = 512 << 10
@@ -184,6 +187,25 @@ def _descending_prefix(key, k):
     return cand[np.argsort(key[cand], kind="stable")][:k]
 
 
+def _filter_candidates(a1p, a2, best, den_min):
+    """Indices c, ascending, of a superset of the second words with
+    bound(a1p + a2[c]) >= best, chosen by one compare.
+
+    With a normal incumbent best > 0 only a positive numerator reaches it,
+    and then only one within a few roundings of best * den_min; so every
+    such word has a2[c] >= best * den_min - a1p less a band of
+    _FILTER_BAND times the size of the terms, which is far wider than those
+    roundings.  Where that threshold cannot be formed (best not a positive
+    normal, den_min = 0, or a threshold that is subnormal or not finite)
+    every word is a candidate.
+    """
+    t = best * den_min
+    cut = t - a1p - _FILTER_BAND * (t + abs(a1p))
+    if best >= sys.float_info.min and t >= sys.float_info.min and math.isfinite(cut):
+        return np.flatnonzero(a2 >= cut)
+    return np.arange(len(a2))
+
+
 def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
     """Exact search over the correlation window without forming all pairs.
 
@@ -198,7 +220,13 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
     written into one buffer: _SCAN_ROWS rows at first, then doubling while a
     block stays under _SCAN_BLOCK_BYTES.  Each GEMM covers only the second
     words whose bound, paired with the block's first row, reaches the
-    incumbent; the others cannot reach it from any row of the block.  A
+    incumbent; the others cannot reach it from any row of the block.  The
+    first block with an incumbent finds these columns among the candidates
+    of _filter_candidates, and every later block re-tests only the previous
+    block's survivors: the incumbent never falls, a1 never rises along the
+    order, and both the rounded sum a1 + a2 and bound() are monotone, so a
+    column that fails once fails for the rest of the scan, and the kept set
+    of each block is exactly that of the full test.  A
     GEMM entry may differ from the single-word product in the last bit.
     Returns (objective, i1, i2), or None when no pair lies in the window.
     """
@@ -226,6 +254,7 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
     buf = np.empty(min(cap, m1) * m2)
     rows = min(_SCAN_ROWS, cap)
     pos = 0
+    live = None  # the second words that can still reach the incumbent
     while pos < m1:
         if pos + rows > len(order):
             order = _descending_prefix(key, max(2 * len(order), pos + rows))
@@ -235,9 +264,13 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
             w2c = w2
         else:
             # a1 falls along the order, so the first row bounds the block
-            cols = np.flatnonzero(bound(a1[blk[0]] + a2) >= best[0])
-            if not cols.size:
+            a1p = a1[blk[0]]
+            if live is None:
+                live = _filter_candidates(float(a1p), a2, best[0], den_min)
+            live = live[bound(a1p + a2[live]) >= best[0]]
+            if not live.size:
                 break
+            cols = live
             w2c = w2[cols]
         a2c = a2[cols]
         gram = buf[:len(blk) * len(cols)].reshape(len(blk), len(cols))

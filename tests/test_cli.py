@@ -738,7 +738,25 @@ def test_simulate_uncoded_overflowing_sums_exit_1(capsys, threads):
      "error: the variance ratio --var2/--var1 = 1e-10/1e+300 underflows\n"),
     (("uncoded", "--var1", "1", "--var2", "1e-310"),
      "error: the variance ratio --var2/--var1 = 1e-310/1 underflows\n"),
+    # the trace's first target once reached np.geomspace as 0 and exited with
+    # "Geometric sequence cannot include zero"
+    (("sweep", "--sigma2", "1e-320", "--boundary", "--resolution", "4"),
+     "error: the boundary trace's smallest d1, 0.0001 * --sigma2 = 0.0001 * "
+     "9.99989e-321, underflows to 0\n"),
+    (("sweep", "--sigma2", "1", "--var1", "1e-320", "--var2", "1e-320", "--boundary"),
+     "error: the boundary trace's smallest d1, 0.0001 * --var1 = 0.0001 * "
+     "9.99989e-321, underflows to 0\n"),
 ])
 def test_canonicalization_range_errors_name_their_flags(capsys, argv, err):
     code, out, got = run_cli(capsys, argv[0], "--rho", "0.5", *argv[1:])
     assert (code, out, got) == (1, "", err)
+
+
+def test_boundary_trace_at_a_subnormal_variance_still_prints(capsys):
+    # 1e-4 * 1e-310 is subnormal but not 0, so the d1 grid can be formed
+    code, out, err = run_cli(capsys, "sweep", "--rho", "0.5", "--sigma2", "1e-310",
+                             "--boundary", "--resolution", "4", "--format", "json")
+    assert (code, err) == (0, "")
+    rows = json.loads(out)
+    check_schema(rows, "sweep-boundary")
+    assert len(rows) == 4 and rows[0]["d1"] > 0.0

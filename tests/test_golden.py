@@ -4,13 +4,16 @@ The files under tests/golden/ pin the exact output of the analytic path
 (converse, verdict search, quantizer bound, uncoded closed form, power
 sweep with and without convexification, boundary trace), of the uncoded
 and quantizer simulations at one and at four threads, and of the
-simulation criteria of the acceptance report.  To write them afresh from
+simulation criteria of the acceptance report.  The quantizer documents are
+also rendered in a subprocess under one OpenBLAS thread.  To write them afresh from
 the current source tree:
 
     PYTHONPATH=src python tests/test_golden.py
 """
 import contextlib
 import io
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -74,6 +77,9 @@ SIM_CASES = {
     "simulate-uncoded-asym.json": ("simulate-uncoded", "--seed", "7", *ASYM,
                                    "--trials", "200000"),
 }
+# the uncoded documents' long chunk sums take their last bits from the BLAS
+# thread count, so only the quantizer documents are pinned under one thread
+VQ_SIM_CASES = sorted(name for name in SIM_CASES if name.startswith("simulate-vq"))
 
 # the simulation criteria of the acceptance report; the whole report is
 # pinned by tests/test_acceptance.py
@@ -99,6 +105,20 @@ def test_cli_document_matches_golden(name):
 def test_simulation_document_matches_golden(name, threads):
     argv = (*SIM_CASES[name], "--threads", threads)
     assert render(argv) == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("threads", ["1", "4"])
+@pytest.mark.parametrize("name", VQ_SIM_CASES)
+def test_vq_simulation_document_matches_golden_under_one_blas_thread(name, threads):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.environ.get("PYTHONPATH")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmacdist", *SIM_CASES[name], "--threads", threads],
+        capture_output=True, env=env, timeout=300)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout == (GOLDEN / name).read_bytes()
 
 
 def test_verify_simulation_criteria_match_golden():

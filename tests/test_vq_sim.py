@@ -22,6 +22,7 @@ from gmacdist.vq_sim import (
     _channel_gain,
     _decode_pruned,
     _descending_prefix,
+    _filter_candidates,
     _seed_incumbent,
     decode,
     encode,
@@ -402,6 +403,239 @@ def test_scan_blocks_stay_under_cap():
         tracemalloc.stop()
     assert got is None
     assert peak < vq_sim._SCAN_BLOCK_BYTES + (1 << 20)
+
+
+def _full_bound_columns(a1p, a2, best, den_min, den_max):
+    """Reference column test: bound(a1p + a2[c]) >= best over every word."""
+    num = a1p + a2
+    hi = num / den_min if den_min > 0 else np.inf
+    lo = num / den_max if den_max > 0 else 0.0
+    return np.flatnonzero(np.where(num > 0, hi, lo) >= best)
+
+
+def _decode_full_filter(w1, w2, a1, a2, b, two_a, glo, ghi, gemms=None):
+    """Reference scan: the decoder with every block's columns chosen by the
+    full bound() test over all second words.  Appends each GEMM's operand
+    rows, (w1[blk], w2[cols]), to gemms."""
+    m1, m2 = len(a1), len(a2)
+    den_min = math.sqrt(max(b + two_a * glo, 0.0))
+    den_max = math.sqrt(max(b + two_a * ghi, 0.0))
+    a2max = float(a2.max())
+
+    def row_bound(num):
+        if num > 0:
+            return num / den_min if den_min > 0 else math.inf
+        return num / den_max if den_max > 0 else 0.0
+
+    best = _seed_incumbent(w1, w2, a1, a2, b, two_a, glo, ghi)
+    key = -a1
+    order = _descending_prefix(key, vq_sim._ORDER_BLOCK)
+    cap = max(1, vq_sim._SCAN_BLOCK_BYTES // (8 * m2))
+    rows = min(vq_sim._SCAN_ROWS, cap)
+    pos = 0
+    while pos < m1:
+        if pos + rows > len(order):
+            order = _descending_prefix(key, max(2 * len(order), pos + rows))
+        blk = order[pos:pos + rows]
+        if best is None:
+            cols = np.arange(m2)
+        else:
+            cols = _full_bound_columns(a1[blk[0]], a2, best[0], den_min, den_max)
+            if not cols.size:
+                break
+        if gemms is not None:
+            gemms.append((w1[blk], w2[cols]))
+        gram = w1[blk] @ w2[cols].T
+        for p, g in zip(blk, gram):
+            if best is not None and row_bound(float(a1[p]) + a2max) < best[0]:
+                return best
+            sel = np.flatnonzero((g >= glo) & (g <= ghi))
+            if sel.size:
+                f = (a1[p] + a2[cols][sel]) / np.sqrt(b + two_a * g[sel])
+                k = int(np.argmax(f))
+                best = _best_update(best, float(f[k]), int(p), int(cols[sel[k]]))
+        pos += len(blk)
+        rows = min(2 * rows, cap)
+    return best
+
+
+def _ulp_steps(x, k):
+    """x moved by -k..k ulps, one float per step."""
+    out = [x]
+    down = up = x
+    for _ in range(k):
+        down = math.nextafter(down, -math.inf)
+        up = math.nextafter(up, math.inf)
+        out += [down, up]
+    return np.array(out)
+
+
+def test_filter_candidates_contain_the_exact_columns():
+    rng = np.random.default_rng(12)
+    words = candidates = edge_pass = edge_fail = 0
+    for case in range(300):
+        a1p = float(rng.choice([0.0, 1.0, -2.0, 1e8, -1e8, 1e15, -1e15])
+                    * rng.uniform(0.5, 2.0))
+        den_min = float(rng.uniform(0.1, 10.0))
+        den_max = den_min * float(rng.uniform(1.0, 3.0))
+        best = float(rng.uniform(0.01, 5.0))
+        t = best * den_min
+        thr = t - a1p
+        # random words around the threshold, and words at the threshold
+        # and the sum's scale moved by 1 to 64 ulps
+        spread = rng.choice([1e-6, 1.0, 1e3]) * (abs(thr) + 1.0)
+        edge = np.concatenate((
+            _ulp_steps(thr, 64),
+            thr + np.arange(-64, 65) * math.ulp(t + abs(a1p))))
+        a2 = np.concatenate((thr + spread * rng.standard_normal(4096), edge))
+        rng.shuffle(a2)
+        exact = _full_bound_columns(a1p, a2, best, den_min, den_max)
+        cand = _filter_candidates(a1p, a2, best, den_min)
+        assert np.all(np.diff(cand) > 0)
+        assert np.isin(exact, cand).all(), case
+        words += len(a2)
+        candidates += len(cand)
+        ok = np.isin(a2, edge)
+        passed = np.zeros(len(a2), dtype=bool)
+        passed[exact] = True
+        edge_pass += int((ok & passed).sum())
+        edge_fail += int((ok & ~passed).sum())
+    # the compare does prune, and the edge words fall on both sides
+    assert candidates < 0.75 * words
+    assert edge_pass and edge_fail
+
+
+@pytest.mark.parametrize("best, den_min", [
+    (0.0, 1.0), (-1.0, 1.0), (math.nan, 1.0), (1.0, 0.0),
+    (5e-324, 1.0),         # a subnormal incumbent
+    (1e-300, 1e-10),       # a subnormal threshold
+    (1e300, 1e10),         # a threshold that overflows
+])
+def test_filter_candidates_are_every_word_without_a_threshold(best, den_min):
+    a2 = np.random.default_rng(2).standard_normal(50)
+    assert np.array_equal(_filter_candidates(0.5, a2, best, den_min), np.arange(50))
+
+
+class _GemmLog:
+    """numpy, with np.matmul recording its operand rows (a, b.T)."""
+
+    def __init__(self):
+        self.gemms = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, out=None):
+        self.gemms.append((a, b.T))
+        return np.matmul(a, b, out=out)
+
+
+def _filter_cases():
+    for seed in range(3):
+        cb1, cb2, y = _random_setup(seed, n=12, bits1=10, bits2=12)
+        a1, a2, b, two_a = _decode_args(cb1, cb2, y, 1.3 * _channel_gain(cb1, 1.0),
+                                        0.9 * _channel_gain(cb2, 1.0))
+        rr = cb1.radius * cb2.radius
+        # as drawn; every objective negative; a large first-side shift
+        for s1, s2 in ((a1, a2), (a1 - a1.max() - 1.0, a2 - a2.max() - 1.0),
+                       (a1 + 1e6, a2 - 1e6)):
+            for lo, hi in ((-rr, rr), (0.1 * rr, 0.4 * rr), (-0.2 * rr, 0.05 * rr)):
+                yield cb1.words, cb2.words, s1, s2, b, two_a, lo, hi
+
+
+def test_every_block_keeps_the_full_tests_columns(monkeypatch):
+    cases = list(_filter_cases())
+    for _ in _scan_block_sizes(monkeypatch):
+        for args in cases:
+            want = []
+            ref = _decode_full_filter(*args, gemms=want)
+            log = _GemmLog()
+            with monkeypatch.context() as m:
+                m.setattr(vq_sim, "np", log)
+                got = _decode_pruned(*args)
+            assert got == ref
+            assert len(log.gemms) == len(want)
+            for (ga, gb), (wa, wb) in zip(log.gemms, want):
+                assert np.array_equal(ga, wa)
+                assert np.array_equal(gb, wb)
+
+
+@pytest.fixture(scope="module")
+def bench_n32():
+    """The bench's instance at n = 32 (2^16 words a side) and the channel
+    correlations of its first trials."""
+    c = symmetric_instance(1.0, 0.8, 10.0, 1.0)
+    rates = make_rate_pair(c, 0.5, 0.5)
+    cb1 = generate_codebook(32, 0.5, 1.0, derive_seed(7, vq_sim._STREAM_CODEBOOK1))
+    cb2 = generate_codebook(32, 0.5, 1.0, derive_seed(7, vq_sim._STREAM_CODEBOOK2))
+    alpha1, alpha2 = _channel_gain(cb1, c.p1), _channel_gain(cb2, c.p2)
+    rows = []
+    for k in range(4):
+        batch = sample_source_and_noise(c, 32, derive_seed(7, vq_sim._STREAM_TRIAL, k))
+        _, x1 = encode(cb1, batch.s1[None], c.p1)
+        _, x2 = encode(cb2, batch.s2[None], c.p2)
+        y = (x1 + x2)[0] + batch.z
+        rows.append((alpha1 * (cb1.words @ y), alpha2 * (cb2.words @ y)))
+    return rates.rho_tilde, cb1, cb2, alpha1, alpha2, rows
+
+
+def _decode_both(monkeypatch, *args):
+    got = decode(*args)
+    with monkeypatch.context() as m:
+        m.setattr(vq_sim, "_decode_pruned", _decode_full_filter)
+        want = decode(*args)
+    assert got == want
+    return got
+
+
+# (rho_t, delta_typ): a window inside the pairs, one opened to -rr and one
+# above every pair, which only the 2^6-word codebooks take, as its empty
+# first pass visits every pair
+@pytest.mark.parametrize("n, bits, seeds, windows", [
+    (8, 6, 4, ((0.2, 0.3), (0.0, 1.0), (0.999, 1e-6))),
+    (12, 12, 2, ((0.2, 0.3), (0.0, 1.0))),
+], ids=["2^6-words", "2^12-words"])
+def test_decode_matches_full_filter_reference(monkeypatch, n, bits, seeds, windows):
+    fell = 0
+    for seed in range(seeds):
+        cb1, cb2, y = _random_setup(seed, n=n, bits1=bits, bits2=bits)
+        rr = cb1.radius * cb2.radius
+        assert cb1.radius == cb2.radius
+        for alpha1, alpha2 in ((1.3, 0.7), (1.0, 1.0)):
+            a1, a2, b, two_a = _decode_args(cb1, cb2, y, alpha1, alpha2)
+            for s1, s2 in ((a1, a2), (a1 - a1.max() - 1.0, a2 - a2.max() - 1.0)):
+                for rho_t, delta in windows:
+                    if (alpha1, rho_t) == (1.0, 0.0):
+                        # the window opens to -rr with alpha1 r1 = alpha2 r2
+                        assert b + two_a * -rr == 0.0
+                    fell += _decode_both(monkeypatch, cb1, cb2, s1, s2, rho_t, delta,
+                                         alpha1, alpha2).fallback
+    assert fell == (bits == 6) * seeds * 4
+
+
+def test_decode_matches_full_filter_reference_at_2_16_words(monkeypatch, bench_n32):
+    rho_t, cb1, cb2, alpha1, alpha2, rows = bench_n32
+    for a1, a2 in rows:
+        for s1, s2 in ((a1, a2), (a1 - a1.max() - 1.0, a2 - a2.max() - 1.0),
+                       (a1 + 1e6, a2 - 1e6)):
+            for delta in (0.4, 0.05):
+                _decode_both(monkeypatch, cb1, cb2, s1, s2, rho_t, delta, alpha1, alpha2)
+
+
+def test_decode_peak_memory_is_independent_of_codebook_temporaries(bench_n32):
+    # a scan that re-ran bound() over every second word made four float
+    # temporaries of 2^16 words per GEMM block and peaked at 6.57 MiB; 4 MiB
+    # of the bound is the preallocated GEMM buffer
+    rho_t, cb1, cb2, alpha1, alpha2, rows = bench_n32
+    a1, a2 = rows[0]
+    decode(cb1, cb2, a1, a2, rho_t, 0.4, alpha1, alpha2)
+    tracemalloc.start()
+    try:
+        decode(cb1, cb2, a1, a2, rho_t, 0.4, alpha1, alpha2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_decode_recovers_noiseless_sum():
