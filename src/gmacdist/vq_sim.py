@@ -226,9 +226,9 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
     block's survivors: the incumbent never falls, a1 never rises along the
     order, and both the rounded sum a1 + a2 and bound() are monotone, so a
     column that fails once fails for the rest of the scan, and the kept set
-    of each block is exactly that of the full test.  A
-    GEMM entry may differ from the single-word product in the last bit.
-    Returns (objective, i1, i2), or None when no pair lies in the window.
+    of each block is exactly that of the full test.  A GEMM entry may
+    differ from the single-word product in the last bit.  Returns
+    (objective, i1, i2), or None when no pair lies in the window.
     """
     m1, m2 = len(a1), len(a2)
     den_min = math.sqrt(max(b + two_a * glo, 0.0))

@@ -738,8 +738,8 @@ def test_simulate_uncoded_overflowing_sums_exit_1(capsys, threads):
      "error: the variance ratio --var2/--var1 = 1e-10/1e+300 underflows\n"),
     (("uncoded", "--var1", "1", "--var2", "1e-310"),
      "error: the variance ratio --var2/--var1 = 1e-310/1 underflows\n"),
-    # the trace's first target once reached np.geomspace as 0 and exited with
-    # "Geometric sequence cannot include zero"
+    # 1e-4 * 1e-320 is 0, which np.geomspace refuses with a message that
+    # names no flag
     (("sweep", "--sigma2", "1e-320", "--boundary", "--resolution", "4"),
      "error: the boundary trace's smallest d1, 0.0001 * --sigma2 = 0.0001 * "
      "9.99989e-321, underflows to 0\n"),

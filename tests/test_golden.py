@@ -4,9 +4,9 @@ The files under tests/golden/ pin the exact output of the analytic path
 (converse, verdict search, quantizer bound, uncoded closed form, power
 sweep with and without convexification, boundary trace), of the uncoded
 and quantizer simulations at one and at four threads, and of the
-simulation criteria of the acceptance report.  The quantizer documents are
-also rendered in a subprocess under one OpenBLAS thread.  To write them afresh from
-the current source tree:
+simulation criteria of the acceptance report.  The quantizer documents
+are also rendered in a subprocess under one OpenBLAS thread.  To write
+them afresh from the current source tree:
 
     PYTHONPATH=src python tests/test_golden.py
 """

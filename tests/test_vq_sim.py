@@ -495,11 +495,11 @@ def test_filter_candidates_contain_the_exact_columns():
         assert np.isin(exact, cand).all(), case
         words += len(a2)
         candidates += len(cand)
-        ok = np.isin(a2, edge)
+        at_edge = np.isin(a2, edge)
         passed = np.zeros(len(a2), dtype=bool)
         passed[exact] = True
-        edge_pass += int((ok & passed).sum())
-        edge_fail += int((ok & ~passed).sum())
+        edge_pass += int((at_edge & passed).sum())
+        edge_fail += int((at_edge & ~passed).sum())
     # the compare does prune, and the edge words fall on both sides
     assert candidates < 0.75 * words
     assert edge_pass and edge_fail
