@@ -156,15 +156,6 @@ class DistortionPair:
             raise ValueError("distortions must be nonnegative and finite")
 
 
-@dataclass(frozen=True, eq=False)
-class SampleBatch:
-    """One seeded draw of source components s1, s2 and channel noise z."""
-
-    s1: np.ndarray
-    s2: np.ndarray
-    z: np.ndarray
-
-
 def canonicalize(inst: ProblemInstance) -> CanonicalInstance:
     """Reduce an instance to common variance sigma1_sq and rho >= 0.
 
@@ -195,7 +186,7 @@ def decanonicalize_distortion(c: CanonicalInstance, d: DistortionPair) -> Distor
 
 
 def sample_source_and_noise(c: CanonicalInstance, n: int, seed: int,
-                            out: np.ndarray | None = None) -> SampleBatch:
+                            out: np.ndarray | None = None) -> np.ndarray:
     """Draw n correlated source symbols and n noise symbols.
 
     Parameters
@@ -208,20 +199,21 @@ def sample_source_and_noise(c: CanonicalInstance, n: int, seed: int,
         64-bit reproducibility token; the same seed yields bitwise
         identical batches.
     out : ndarray, optional
-        C-contiguous float64 array of at least 3 rows and n columns; the
-        batch is written into out[:3, :n].  Allocated when omitted.
+        float64 array of at least 3 rows and n columns, each row
+        C-contiguous; the batch is written into out[:3, :n].  Allocated
+        when omitted.
 
     Returns
     -------
-    SampleBatch
-        s1, s2 jointly Gaussian with variance sigma_sq and correlation rho,
-        z independent with variance noise_var; rows of out.
+    ndarray
+        The (3, n) view out[:3, :n], rows s1, s2 jointly Gaussian with
+        variance sigma_sq and correlation rho, and z of variance noise_var.
     """
     if n < 1:
         raise ValueError("need at least one sample")
     if out is None:
         out = np.empty((3, n))
-    s1, s2, z = out[0, :n], out[1, :n], out[2, :n]
+    s1, s2, z = draws = out[:3, :n]
     rng = np.random.default_rng(int(seed) & _MASK64)
     # g0, g1, then the noise: the stream of a (2, n) draw and an n draw.
     # s2 = sd * (rho * g0 + sqrt(1 - rho^2) * g1) with rho * g0 parked in the
@@ -236,7 +228,17 @@ def sample_source_and_noise(c: CanonicalInstance, n: int, seed: int,
     np.multiply(s1, sd, out=s1)
     rng.standard_normal(out=z)
     np.multiply(z, math.sqrt(c.noise_var), out=z)
-    return SampleBatch(s1=s1, s2=s2, z=z)
+    return draws
+
+
+def row_dots(a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
+    """a[t] @ b[t] for every row t of two (T, n) arrays; b defaults to a.
+
+    The one home of every simulator sum.  The batched matmul hands each row
+    pair to the same BLAS dot as a 1-D @, so each entry has that @'s bits.
+    """
+    b = a if b is None else b
+    return (a[:, None, :] @ b[:, :, None]).reshape(-1)
 
 
 def symmetric_instance(sigma_sq: float, rho: float, p: float, noise_var: float) -> CanonicalInstance:

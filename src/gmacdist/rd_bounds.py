@@ -15,7 +15,7 @@ from enum import Enum
 
 import numpy as np
 
-from .model import CanonicalInstance, DistortionPair
+from .model import CanonicalInstance, DistortionPair, symmetric_instance
 
 
 class ConvergenceError(RuntimeError):
@@ -167,10 +167,7 @@ def symmetric_outer_bound(sigma_sq: float, rho: float, p: float, noise_var: floa
     square root of the inverse power ratio.  For rho = 1 the first branch
     applies at every power.
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("correlation must lie in [0, 1]")
-    if p < 0 or noise_var <= 0 or sigma_sq <= 0:
-        raise ValueError("need nonnegative power and positive variances")
+    symmetric_instance(sigma_sq, rho, p, noise_var)  # checks the arguments
     denom = 2.0 * p * (1.0 + rho) + noise_var
     if rho == 1.0 or p * (1.0 - rho * rho) <= rho * noise_var:
         return sigma_sq * (p * (1.0 - rho * rho) + noise_var) / denom

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (CanonicalInstance, check_threads, check_trial_bytes, derive_seed,
-                    run_pooled, sample_source_and_noise)
+                    row_dots, run_pooled, sample_source_and_noise)
 
 _CHUNK = 1 << 16
 # four float64 sums per chunk
@@ -134,8 +134,8 @@ def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
     check_threads(threads)
     res = uncoded_distortions(c)
     sums = np.zeros((chunks, 4))
-    # one scratch block per worker, reused by each of its chunks: rows
-    # s1, s2, z, x1, x2, y; z's row takes e1 and then s1's takes e2
+    # one scratch block per worker, reused by each of its chunks: rows s1, s2,
+    # z, x1, x2, y; e2 goes into z's row and e1 into s2's, so rows 1-4 are summed
     width = min(trials, _CHUNK)
     local = threading.local()
 
@@ -152,11 +152,11 @@ def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
             np.multiply(s2, res.gain2, out=x2)
             np.add(x1, x2, out=y)
             np.add(y, z, out=y)
-            e1 = np.multiply(y, res.lmmse1, out=z)
-            np.subtract(s1, e1, out=e1)
-            e2 = np.multiply(y, res.lmmse2, out=s1)
+            e2 = np.multiply(y, res.lmmse2, out=z)
             np.subtract(s2, e2, out=e2)
-            sums[k] = (e1 @ e1, e2 @ e2, x1 @ x1, x2 @ x2)
+            e1 = np.multiply(y, res.lmmse1, out=s2)
+            np.subtract(s1, e1, out=e1)
+            sums[k] = row_dots(block[1:5, :size])
 
     run_pooled(run_chunk, chunks, threads)
     with np.errstate(over="ignore", invalid="ignore"):

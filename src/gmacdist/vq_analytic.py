@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CanonicalInstance, DistortionPair
+from .model import CanonicalInstance, DistortionPair, symmetric_instance
 from .rd_bounds import ConvergenceError
 
 _REGION_TOL = 1e-12
@@ -216,10 +216,7 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
     -------
     (rate, distortion) : tuple of float
     """
-    if not 0.0 <= rho <= 1.0:
-        raise ValueError("correlation must lie in [0, 1]")
-    if p < 0 or noise_var <= 0 or sigma_sq <= 0:
-        raise ValueError("need nonnegative power and positive variances")
+    symmetric_instance(sigma_sq, rho, p, noise_var)  # checks the arguments
     if p == 0:
         return 0.0, sigma_sq
 

@@ -19,7 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (CanonicalInstance, check_threads, check_trial_bytes, derive_seed,
-                    run_pooled, sample_source_and_noise)
+                    row_dots, run_pooled, sample_source_and_noise)
 from .vq_analytic import RatePair, in_rate_region, rho_tilde
 
 MAX_CODEBOOK_BITS = 22
@@ -325,6 +325,8 @@ def reconstruction_coefficients(rho: float, r1: float, r2: float, sigma_sq: floa
     correlates with the two sources through the quantization factors.
     Returns (beta1, gamma1, beta2, gamma2) with s1_hat = beta1*u1 + gamma1*u2.
     A zero-rate codeword carries no information and gets zero weight.
+    The weights do not depend on sigma_sq; where its scale takes the
+    determinant out of the normal range they are taken at sigma_sq = 1.
     """
     s2 = sigma_sq
     e1 = 1.0 - 2.0 ** (-2.0 * r1)
@@ -345,6 +347,8 @@ def reconstruction_coefficients(rho: float, r1: float, r2: float, sigma_sq: floa
     v2 = s2 * e2
     cov12 = rt * s2 * math.sqrt(e1 * e2)
     det = v1 * v2 - cov12 * cov12
+    if not sys.float_info.min <= det < math.inf and s2 != 1.0:
+        return reconstruction_coefficients(rho, r1, r2, 1.0)
     c11 = s2 * e1          # Cov(s1, u1)
     c12 = rho * s2 * e2    # Cov(s1, u2)
     c21 = rho * s2 * e1    # Cov(s2, u1)
@@ -396,13 +400,14 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
     into its own result slot, so the aggregate is reproducible and
     independent of evaluation order and thread count.  The unit of work is
     a block of consecutive trials (see _trial_block, which does not depend
-    on threads): their draws are stacked, each side is encoded and
-    correlated with the channel outputs by one GEMM, and each trial is then
-    decoded from its own row.  Raises TrialCountError, before allocating,
-    when the per-trial results would need more than MAX_TRIAL_BYTES (above
-    2^20 trials), and ValueError, before the region check, for a
-    blocklength below 1, non-finite rates, a window outside [0, inf) or
-    threads outside [1, MAX_THREADS].
+    on threads): their draws fill one (3, trials, n) array, each side is
+    encoded and correlated with the channel outputs by one GEMM, each trial
+    is decoded from its own row, and the statistics are block expressions.
+    Raises TrialCountError, before allocating, when the per-trial results
+    would need more than MAX_TRIAL_BYTES (above 2^20 trials), and
+    ValueError, before the region check, for a blocklength below 1,
+    non-finite rates, a window outside [0, inf) or threads outside
+    [1, MAX_THREADS].
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
@@ -435,34 +440,32 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
     fell = np.zeros(trials, dtype=bool)
 
     def run_block(j: int):
-        ks = range(j * block, min(trials, (j + 1) * block))
-        batches = [sample_source_and_noise(c, n, derive_seed(seed, _STREAM_TRIAL, k))
-                   for k in ks]
-        s1 = np.stack([bt.s1 for bt in batches])
-        s2 = np.stack([bt.s2 for bt in batches])
+        ks = slice(j * block, min(trials, (j + 1) * block))
+        draws = np.empty((3, ks.stop - ks.start, n))
+        for t, k in enumerate(range(ks.start, ks.stop)):
+            sample_source_and_noise(c, n, derive_seed(seed, _STREAM_TRIAL, k),
+                                    out=draws[:, t])
+        s1, s2, z = draws
         idx1, x1 = encode(cb1, s1, c.p1)
         idx2, x2 = encode(cb2, s2, c.p2)
-        y = x1 + x2 + np.stack([bt.z for bt in batches])
+        y = x1 + x2 + z
         # alpha * (y @ w.T), scaled in place: the same products
         a1 = y @ w1.T
         a1 *= alpha1
         a2 = y @ w2.T
         a2 *= alpha2
-        for t, (k, i1, i2) in enumerate(zip(ks, idx1.tolist(), idx2.tolist())):
-            dec = decode(cb1, cb2, a1[t], a2[t], rt, delta_typ, alpha1, alpha2)
-            u1 = w1[dec.index1]
-            u2 = w2[dec.index2]
-            s1_hat = beta1 * u1 + gamma1 * u2
-            s2_hat = beta2 * u1 + gamma2 * u2
-            e1 = s1[t] - s1_hat
-            e2 = s2[t] - s2_hat
-            q1 = s1[t] - w1[i1]
-            q2 = s2[t] - w2[i2]
-            se[k] = (e1 @ e1, e2 @ e2)
-            qmse[k] = (q1 @ q1, q2 @ q2)
-            corr[k] = (w1[i1] @ w2[i2]) / rr if rr > 0 else 0.0
-            err[k] = (dec.index1, dec.index2) != (i1, i2)
-            fell[k] = dec.fallback
+        # rows (index1, index2, fallback), one per trial
+        dec = np.array([decode(cb1, cb2, a1[t], a2[t], rt, delta_typ, alpha1, alpha2)
+                        for t in range(len(y))])
+        u1, u2 = w1[dec[:, 0]], w2[dec[:, 1]]
+        v1, v2 = w1[idx1], w2[idx2]
+        se[ks, 0] = row_dots(s1 - (beta1 * u1 + gamma1 * u2))
+        se[ks, 1] = row_dots(s2 - (beta2 * u1 + gamma2 * u2))
+        qmse[ks, 0] = row_dots(s1 - v1)
+        qmse[ks, 1] = row_dots(s2 - v2)
+        corr[ks] = row_dots(v1, v2) / rr if rr > 0 else 0.0
+        err[ks] = (dec[:, 0] != idx1) | (dec[:, 1] != idx2)
+        fell[ks] = dec[:, 2]
 
     run_pooled(run_block, -(-trials // block), threads)
 

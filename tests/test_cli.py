@@ -211,6 +211,21 @@ def test_simulate_vq_nonfinite_rate_or_window_exits_1(capsys, flags):
     assert err.count("\n") == 1 and "finite" in err
 
 
+@pytest.mark.parametrize("scale", ["1e-300", "1e300"])
+def test_simulate_vq_at_extreme_scales(capsys, scale):
+    # the reconstruction weights' determinant under- (1e-300) or overflows
+    # (1e300) at these scales
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        code, out, err = run_cli(capsys, "simulate-vq", "--rho", "0.5", "--sigma2", scale,
+                                 "--p", scale, "--r1", "0.5", "--r2", "0.5", "-n", "8",
+                                 "--trials", "5")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    check_schema(doc, "simulate-vq")
+    assert doc["empirical_d1"] > 0 and doc["empirical_d2"] > 0
+
+
 def test_jsonable_replaces_nonfinite():
     got = cli._jsonable({"a": math.nan, "b": [math.inf, 1.0]})
     assert got == {"a": None, "b": [None, 1.0]}

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +22,7 @@ from gmacdist.model import (
     check_trial_bytes,
     decanonicalize_distortion,
     derive_seed,
+    row_dots,
     run_pooled,
     sample_source_and_noise,
     symmetric_instance,
@@ -125,25 +130,24 @@ def test_sampling_is_deterministic():
     c = symmetric_instance(1.0, 0.5, 2.0, 3.0)
     a = sample_source_and_noise(c, 1000, 42)
     b = sample_source_and_noise(c, 1000, 42)
-    assert np.array_equal(a.s1, b.s1)
-    assert np.array_equal(a.s2, b.s2)
-    assert np.array_equal(a.z, b.z)
+    assert a.shape == (3, 1000)
+    assert np.array_equal(a, b)
 
 
 def test_sampling_moments():
     c = symmetric_instance(2.0, 0.3, 1.0, 0.5)
-    batch = sample_source_and_noise(c, 1_000_000, 9)
-    assert np.var(batch.s1) == pytest.approx(2.0, rel=0.01)
-    assert np.var(batch.s2) == pytest.approx(2.0, rel=0.01)
-    assert np.var(batch.z) == pytest.approx(0.5, rel=0.01)
-    corr = np.corrcoef(batch.s1, batch.s2)[0, 1]
+    s1, s2, z = sample_source_and_noise(c, 1_000_000, 9)
+    assert np.var(s1) == pytest.approx(2.0, rel=0.01)
+    assert np.var(s2) == pytest.approx(2.0, rel=0.01)
+    assert np.var(z) == pytest.approx(0.5, rel=0.01)
+    corr = np.corrcoef(s1, s2)[0, 1]
     assert corr == pytest.approx(0.3, abs=0.005)
 
 
 def test_sampling_perfect_correlation():
     c = symmetric_instance(1.0, 1.0, 1.0, 1.0)
-    batch = sample_source_and_noise(c, 100, 5)
-    assert np.allclose(batch.s1, batch.s2, rtol=0, atol=1e-12)
+    s1, s2, _ = sample_source_and_noise(c, 100, 5)
+    assert np.allclose(s1, s2, rtol=0, atol=1e-12)
 
 
 def _two_rows_then_noise(c, n, seed):
@@ -169,12 +173,52 @@ def test_sampling_in_place_equals_two_rows_then_noise(n):
         fresh = sample_source_and_noise(c, n, seed)
         reused = sample_source_and_noise(c, n, seed, out=out)
         for batch in (fresh, reused):
-            got = [_bits(a) for a in (batch.s1, batch.s2, batch.z)]
+            got = [_bits(a) for a in batch]
             assert all(np.array_equal(g, w) for g, w in zip(got, want))
-        assert all(np.shares_memory(a, out[i, :n])
-                   for i, a in enumerate((reused.s1, reused.s2, reused.z)))
+        assert all(np.shares_memory(a, out[i, :n]) for i, a in enumerate(reused))
     # nothing outside out[:3, :n] is written
     assert np.isnan(out[3]).all() and np.isnan(out[:, n:]).all()
+
+
+def _row_dots_mismatches():
+    """The cases where row_dots differs in any bit from a per-row 1-D @:
+    contiguous rows at lengths 1-64 and 65,536, and the strided row views
+    the simulators pass (a partial chunk's rows 1-4, one trial of a
+    (3, trials, n) block)."""
+    rng = np.random.default_rng(2024)
+    cases = []
+    for n in (*range(1, 65), 65_536):
+        a, b = rng.standard_normal((2, 5, n))
+        cases += [(f"n={n}", a, b), (f"n={n}, b=a", a, None)]
+    block = rng.standard_normal((6, 1 << 16))
+    cases.append(("block[1:5, :size]", block[1:5, :40_000], None))
+    draws = rng.standard_normal((3, 7, 33))
+    cases.append(("draws[:, t]", draws[:, 2], draws[:, 5]))
+    bad = []
+    for name, a, b in cases:
+        other = a if b is None else b
+        want = np.array([a[t] @ other[t] for t in range(len(a))])
+        if not np.array_equal(_bits(row_dots(a, b)), _bits(want)):
+            bad.append(name)
+    return bad
+
+
+def test_row_dots_equals_per_row_matmul():
+    assert _row_dots_mismatches() == []
+
+
+def test_row_dots_equals_per_row_matmul_under_one_blas_thread():
+    root = Path(__file__).resolve().parents[1]
+    path = os.environ.get("PYTHONPATH")
+    src = str(root / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": src if not path else src + os.pathsep + path}
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import test_model; "
+            "print(test_model._row_dots_mismatches())")
+    proc = subprocess.run([sys.executable, "-c", code, str(root / "tests")],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_sampling_rejects_empty_batch():

@@ -447,3 +447,19 @@ def test_symmetric_solve_refuses_full_residual_correlation():
     # upper end is found; that once ended in a ZeroDivisionError
     with pytest.raises(ValueError, match="rounds to 1"):
         solve_symmetric_rate(1.0, 1.0, 1e300, 1.0)
+
+
+@pytest.mark.parametrize("fn", [symmetric_outer_bound, solve_symmetric_rate])
+@pytest.mark.parametrize("args", [
+    (0.0, 0.5, 1.0, 1.0),
+    (math.nan, 0.5, 1.0, 1.0),
+    (1.0, 1.5, 1.0, 1.0),
+    (1.0, -0.1, 1.0, 1.0),
+    (1.0, 0.5, -1.0, 1.0),
+    (1.0, 0.5, 1.0, 0.0),
+    (1.0, 0.5, 1.0, math.nan),
+], ids=["zero-var", "nan-var", "rho-above-1", "negative-rho", "negative-power",
+        "zero-noise", "nan-noise"])
+def test_symmetric_solvers_refuse_arguments_outside_the_domain(fn, args):
+    with pytest.raises(ValueError):
+        fn(*args)

@@ -74,17 +74,17 @@ def _simulate_one_by_one(c, rates, n, trials, delta_typ, seed):
     err = np.zeros(trials, dtype=bool)
     fell = np.zeros(trials, dtype=bool)
     for k in range(trials):
-        batch = sample_source_and_noise(c, n, derive_seed(seed, vq_sim._STREAM_TRIAL, k))
-        i1, x1 = _encode_one(cb1, batch.s1, c.p1)
-        i2, x2 = _encode_one(cb2, batch.s2, c.p2)
-        y = x1 + x2 + batch.z
+        s1, s2, z = sample_source_and_noise(c, n, derive_seed(seed, vq_sim._STREAM_TRIAL, k))
+        i1, x1 = _encode_one(cb1, s1, c.p1)
+        i2, x2 = _encode_one(cb2, s2, c.p2)
+        y = x1 + x2 + z
         dec = _decode_one(cb1, cb2, y, rates.rho_tilde, delta_typ, alpha1, alpha2)
         u1 = cb1.words[dec.index1]
         u2 = cb2.words[dec.index2]
-        e1 = batch.s1 - (beta1 * u1 + gamma1 * u2)
-        e2 = batch.s2 - (beta2 * u1 + gamma2 * u2)
-        q1 = batch.s1 - cb1.words[i1]
-        q2 = batch.s2 - cb2.words[i2]
+        e1 = s1 - (beta1 * u1 + gamma1 * u2)
+        e2 = s2 - (beta2 * u1 + gamma2 * u2)
+        q1 = s1 - cb1.words[i1]
+        q2 = s2 - cb2.words[i2]
         se[k] = (e1 @ e1, e2 @ e2)
         qmse[k] = (q1 @ q1, q2 @ q2)
         corr[k] = (cb1.words[i1] @ cb2.words[i2]) / rr if rr > 0 else 0.0
@@ -303,6 +303,15 @@ def test_reconstruction_degenerate_correlation():
     # float rounding pushes the codeword correlation matrix to singular here
     with pytest.raises(ValueError):
         reconstruction_coefficients(1.0, 30.0, 30.0, 1.0)
+
+
+@pytest.mark.parametrize("sigma_sq", [1e-300, 1e300])
+def test_reconstruction_weights_at_extreme_variance(sigma_sq):
+    # the determinant under- or overflows at these scales; the weights do
+    # not depend on sigma_sq, so they are those at sigma_sq = 1
+    got = reconstruction_coefficients(0.5, 0.5, 0.5, sigma_sq)
+    assert got == reconstruction_coefficients(0.5, 0.5, 0.5, 1.0)
+    assert all(math.isfinite(w) for w in got)
 
 
 def test_reconstruction_solves_normal_equations():
@@ -571,10 +580,10 @@ def bench_n32():
     alpha1, alpha2 = _channel_gain(cb1, c.p1), _channel_gain(cb2, c.p2)
     rows = []
     for k in range(4):
-        batch = sample_source_and_noise(c, 32, derive_seed(7, vq_sim._STREAM_TRIAL, k))
-        _, x1 = encode(cb1, batch.s1[None], c.p1)
-        _, x2 = encode(cb2, batch.s2[None], c.p2)
-        y = (x1 + x2)[0] + batch.z
+        s1, s2, z = sample_source_and_noise(c, 32, derive_seed(7, vq_sim._STREAM_TRIAL, k))
+        _, x1 = encode(cb1, s1[None], c.p1)
+        _, x2 = encode(cb2, s2[None], c.p2)
+        y = (x1 + x2)[0] + z
         rows.append((alpha1 * (cb1.words @ y), alpha2 * (cb2.words @ y)))
     return rates.rho_tilde, cb1, cb2, alpha1, alpha2, rows
 
@@ -680,7 +689,7 @@ _SYM = symmetric_instance(1.0, 0.8, 10.0, 1.0)
 _ASYM = canonicalize(ProblemInstance(1.5, 0.4, -0.7, 3.0, 0.8, 0.5))
 
 
-@pytest.mark.parametrize("block", [None, 3])
+@pytest.mark.parametrize("block", [None, 1, 3])
 @pytest.mark.parametrize("c, r1, r2, n, delta_typ", [
     (_SYM, 0.5, 0.5, 16, 0.4),
     (_SYM, 0.5, 0.5, 24, 0.4),
@@ -691,7 +700,8 @@ _ASYM = canonicalize(ProblemInstance(1.5, 0.4, -0.7, 3.0, 0.8, 0.5))
 def test_blocked_simulation_matches_per_trial_reference(
         monkeypatch, block, c, r1, r2, n, delta_typ):
     if block is not None:
-        # 17 trials then make six blocks, the last one partial
+        # 17 trials then make 17 one-row blocks, or six blocks of which
+        # the last is partial
         monkeypatch.setattr(vq_sim, "_TRIAL_BLOCK", block)
     rates = make_rate_pair(c, r1, r2)
     for seed in (31, 32):
