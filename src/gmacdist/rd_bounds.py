@@ -169,7 +169,13 @@ def symmetric_outer_bound(sigma_sq: float, rho: float, p: float, noise_var: floa
     """
     symmetric_instance(sigma_sq, rho, p, noise_var)  # checks the arguments
     denom = 2.0 * p * (1.0 + rho) + noise_var
-    if rho == 1.0 or p * (1.0 - rho * rho) <= rho * noise_var:
+    linear = rho == 1.0 or p * (1.0 - rho * rho) <= rho * noise_var
+    if denom == math.inf:  # 2p overflows: divide p out of the denominator
+        scaled = 2.0 * (1.0 + rho) + noise_var / p
+        if linear:
+            return sigma_sq * (1.0 - rho * rho + noise_var / p) / scaled
+        return sigma_sq * math.sqrt((1.0 - rho * rho) * noise_var / scaled) / math.sqrt(p)
+    if linear:
         return sigma_sq * (p * (1.0 - rho * rho) + noise_var) / denom
     return sigma_sq * math.sqrt((1.0 - rho * rho) * noise_var / denom)
 

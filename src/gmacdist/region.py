@@ -33,7 +33,7 @@ from .vq_analytic import (
 
 _REL_TOL = 1e-9
 
-# a power-sweep point costs about 0.3 ms, a boundary-trace point about 0.07 ms
+# a power-sweep point costs about 0.05 ms, a boundary-trace point about 0.07 ms
 MAX_SWEEP_POINTS = 1 << 16
 
 # a boundary trace searches its targets in batches of at most this many, so

@@ -189,11 +189,15 @@ def distortion_grid(c: CanonicalInstance, r1: np.ndarray, r2: np.ndarray):
 
 def _log2_rhs(p: float, noise_var: float, rt: float) -> float:
     """log2 of the symmetric rate ceiling's argument num / den, taken as
-    log2(num) - log2(den) where that quotient overflows."""
+    log2(num) - log2(den) where that quotient overflows, and log2(num) as
+    1 + log2(p) + log2(1 + rt + noise_var / 2p) where num itself does."""
     num = 2.0 * p * (1.0 + rt) + noise_var
     den = noise_var * (1.0 - rt * rt)
     q = num / den
     if q == math.inf and den > 0.0:
+        if num == math.inf:
+            return (1.0 + math.log2(p) + math.log2(1.0 + rt + noise_var / p / 2.0)
+                    - math.log2(den))
         return math.log2(num) - math.log2(den)
     return math.log2(q)
 
@@ -203,14 +207,18 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
 
     The ceiling on the common rate depends on the rate itself through the
     residual correlation, so the operating point is the fixed point of
-    r = rhs(r).  rhs is increasing and bounded (for rho < 1), g = rhs - r is
-    positive at 0 and eventually negative; the largest zero is located by a
-    1024-cell scan and then bisection to a width of 1e-12, in at most 200
-    steps.  The scan is scored in one numpy pass; a point whose g lies
-    within _EDGE_BAND of 0 (or is NaN) is scored again with the scalar libm
-    form, so the sign test sees what scalar evaluation gives.  The bisection
-    stays scalar.  Raises ValueError when the residual correlation rounds to
-    1 while the scan's upper end is sought (rho = 1 at enormous power).
+    r = rhs(r).  With q = 2^-2r and s = p / noise_var, raising 2 to 4r turns
+    it into F(q) = -2 s rho q^3 + (2 s (1 + rho) + 1 + rho^2) q^2
+    - 2 rho^2 q - (1 - rho^2) = 0, and g = rhs - r is positive exactly where
+    F(q) is.  F(0) < 0 < 2s = F(1) and F has at most two positive roots
+    (Descartes), so for rho < 1 it has one root in (0, 1); at rho = 1,
+    F = q h(q) and h has one root there.  So g changes sign once.  The
+    upper end hi, where g < 0, is found by doubling; the sign change is
+    located among the 1024 equal cells of [0, hi] by bisecting the cell
+    index, then bisected inside its cell to a width of 1e-12, in at most
+    200 steps.  Every step evaluates g with libm.  Raises ValueError when
+    the residual correlation rounds to 1 while hi is sought (rho = 1 at
+    enormous power).
 
     Returns
     -------
@@ -237,29 +245,20 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
     else:
         raise ConvergenceError("no sign change found for the symmetric rate")
 
-    # scan for the last sign change, then bisect inside that cell
+    # bisect the index k of the cell ends hi * k / 1024, keeping g > 0 at
+    # index a and g <= 0 at index b; the cell the inner bisection starts
+    # from fixes the last bits of the rate
     cells = 1024
-    lo = 0.0
-    xs = lo + (hi - lo) * np.arange(cells + 1) / cells
-    # rho_tilde stays below its value at hi, so no denominator is 0 here
-    with np.errstate(all="ignore"):
-        rt = rho * (1.0 - _share(xs))
-        num = 2.0 * p * (1.0 + rt) + noise_var
-        den = noise_var * (1.0 - rt * rt)
-        q = num / den
-        lg = _np_log2(q)
-        big = q == math.inf  # as in _log2_rhs
-        if big.any():
-            lg[big] = _np_log2(num[big]) - _np_log2(den[big])
-        gs = 0.25 * lg - xs
-        near = ~(np.abs(gs) > _EDGE_BAND * (np.abs(xs) + 1.0))  # or NaN
-    xs = xs.tolist()
-    gs = _libm_near_edge(gs, near, lambda k: g(xs[k])).tolist()
-    left, right = lo, hi
-    for k in range(cells, 0, -1):
-        if gs[k - 1] > 0 >= gs[k]:
-            left, right = xs[k - 1], xs[k]
-            break
+    left, right = 0.0, hi
+    if g(left) > 0:
+        a, b = 0, cells
+        while b - a > 1:
+            k = (a + b) // 2
+            if g(hi * k / cells) > 0:
+                a = k
+            else:
+                b = k
+        left, right = hi * a / cells, hi * b / cells
 
     for _ in range(200):
         if right - left <= 1e-12:

@@ -524,9 +524,10 @@ def test_out_of_memory_exits_1(capsys, monkeypatch, argv):
 @pytest.mark.parametrize("argv", [
     ("vq-bound", "--sigma2", "1", "--rho", "1", "--p", "1e300", "--noise", "1"),
     ("sweep", "--rho", "1", "--snr-grid", "1e299:1e300:3:log"),
+    ("vq-bound", "--rho", "1", "--p", "1e308"),
 ])
 def test_symmetric_solve_at_full_residual_correlation_exits_1(capsys, argv):
-    # rho_tilde rounds to 1 while the solver seeks the top of its scan;
+    # rho_tilde rounds to 1 while the solver seeks the top of its bracket;
     # that once ended in a ZeroDivisionError traceback
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (1, "")
@@ -543,6 +544,20 @@ def test_symmetric_solve_with_overflowing_quotient_finds_fixed_point(capsys):
     check_schema(doc, "vq-bound")
     assert doc["rate"] == pytest.approx(259.36, abs=0.01)
     assert 0.0 < doc["d1"] == doc["d2"] < 1e-150
+
+
+@pytest.mark.parametrize("rho", ["0", "0.5", "0.999999999999"])
+@pytest.mark.parametrize("p", ["1e308", "1.7e308"])
+def test_symmetric_solve_at_the_top_of_the_double_range(capsys, p, rho):
+    # 2p(1 + rho_tilde) overflows: the solve once exited 2 here, and the
+    # sweep's outer bound was 0
+    code, out, err = run_cli(capsys, "vq-bound", "--rho", rho, "--p", p)
+    assert (code, err) == (0, "")
+    check_schema(json.loads(out), "vq-bound")
+    code, out, err = run_cli(capsys, "sweep", "--rho", rho, "--snr-grid",
+                             f"{p}:{p}:1:log", "--format", "json")
+    assert (code, err) == (0, "")
+    check_schema(json.loads(out), "sweep-snr")
 
 
 def test_threads_cap_refuses_without_starting_threads(capsys, monkeypatch):

@@ -134,6 +134,22 @@ def test_symmetric_outer_bound_branches():
     assert symmetric_outer_bound(1.0, 1.0, 100.0, 1.0) == pytest.approx(1.0 / 401.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("p, rho", [(6e307, 0.5)] + [
+    (p, rho) for p in (1e308, 1.7e308) for rho in (0.0, 0.5, 1.0 - 1e-12, 1.0)])
+def test_symmetric_outer_bound_with_overflowing_denominator_matches_mpmath(p, rho):
+    # 2p(1 + rho) + noise_var overflows; the bound was once 0
+    assert 2.0 * p * (1.0 + rho) + 1.0 == math.inf
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        r, pm = mp.mpf(rho), mp.mpf(p)
+        denom = 2 * pm * (1 + r) + 1
+        if r == 1 or pm * (1 - r * r) <= r:
+            want = (pm * (1 - r * r) + 1) / denom
+        else:
+            want = mp.sqrt((1 - r * r) / denom)
+    assert symmetric_outer_bound(1.0, rho, p, 1.0) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+
+
 def test_oracle_matches_closed_form_spot_checks():
     cases = [(0.0, 0.25, 0.25), (0.5, 0.3, 0.3), (0.5, 0.3, 0.7),
              (0.5, 0.9, 0.1), (0.8, 0.15, 0.55), (0.95, 0.4, 0.8)]

@@ -172,9 +172,10 @@ def test_full_residual_correlation_is_rejected():
     assert inside.tolist() == [[True, False], [False, False]]
 
 
-# All-libm references.  distortion_grid and solve_symmetric_rate take numpy's
-# log2 and redo with libm only the decisions near an edge; these forms take
-# libm's log2 everywhere, and both must agree with them bit for bit.
+# All-libm references.  distortion_grid takes numpy's log2 and redoes with
+# libm only the decisions near an edge; these forms take libm's log2
+# everywhere, as solve_symmetric_rate does, and both must agree with them bit
+# for bit.  reference_solve keeps the 1,025-point scan the solver replaced.
 
 def _libm_map(fn, x):
     x = np.asarray(x, dtype=float)
@@ -386,6 +387,44 @@ def test_symmetric_solves_match_reference_under_moved_log2(log2_off):
                 == reference_solve(sigma_sq, rho, p, n))
 
 
+def _assert_solve_matches_reference(sigma_sq, rho, p, n):
+    try:
+        want = reference_solve(sigma_sq, rho, p, n)
+    except ZeroDivisionError:  # 1 - rho_tilde^2 rounds to 0 in the reference
+        with pytest.raises(ValueError, match="rounds to 1"):
+            solve_symmetric_rate(sigma_sq, rho, p, n)
+        return False
+    assert solve_symmetric_rate(sigma_sq, rho, p, n) == want
+    return True
+
+
+def test_symmetric_solves_match_reference_on_seeded_instances():
+    # rho at 0, uniform, within 10^-15..10^-1 of 1 and at 1; powers over most
+    # of the double range
+    rng = np.random.default_rng(26)
+    solved = []
+    for k in range(512):
+        rho = (0.0, float(rng.uniform()), 1.0 - 10.0 ** -float(rng.uniform(1, 15)),
+               1.0)[k % 4]
+        p = float(10 ** rng.uniform(-300, 307))
+        n = float(10 ** rng.uniform(-2, 2))
+        sigma_sq = float(10 ** rng.uniform(-3, 3))
+        solved.append(_assert_solve_matches_reference(sigma_sq, rho, p, n))
+    # both outcomes are exercised
+    assert 0 < solved.count(False) < solved.count(True)
+
+
+@pytest.mark.parametrize("sigma_sq, rho, grid", [
+    (1.0, 0.5, np.geomspace(0.1, 100.0, 50)),  # sweep-snr
+    (2.0, 0.5, np.geomspace(0.1, 100.0, 50)),  # sweep-snr-neg, at |rho|
+    (1.0, 0.9, np.linspace(0.5, 20.0, 40)),  # sweep-snr-lin-convexify
+    (1.0, 0.5, np.linspace(0.5, 20.0, 40)),
+])
+def test_symmetric_solves_match_reference_on_golden_grids(sigma_sq, rho, grid):
+    for p in grid.tolist():
+        assert _assert_solve_matches_reference(sigma_sq, rho, p, 1.0)
+
+
 # (rho, p): 1 - rho^2 so small and p so large that the ceiling's quotient
 # overflows on the way to the fixed point
 OVERFLOWING = [(0.999999999999, 1e300), (1.0 - 1e-15, 1e295), (0.9999999, 1e306)]
@@ -414,6 +453,28 @@ def test_symmetric_solve_with_overflowing_quotient_is_the_fixed_point():
         exact = float(mpmath.findroot(g, 259.36))
     r, _ = solve_symmetric_rate(1.0, rho, p, 1.0)
     assert r == pytest.approx(exact, abs=1e-9)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 1.0 - 1e-12])
+@pytest.mark.parametrize("p", [1e308, 1.7e308])
+def test_symmetric_solve_with_overflowing_numerator_is_the_fixed_point(rho, p):
+    # 2p(1 + rho_tilde) + noise_var itself overflows; the solve once gave up
+    assert 2.0 * p * (1.0 + rho) + 1.0 == math.inf
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(60):
+        rho_m, p_m = mpmath.mpf(rho), mpmath.mpf(p)
+
+        def g(r):
+            rt = rho_m * (1 - mpmath.power(2, -2 * r))
+            return mpmath.log((2 * p_m * (1 + rt) + 1) / (1 - rt * rt), 2) / 4 - r
+
+        exact = mpmath.findroot(g, (200, 300), solver="anderson")
+        q = mpmath.power(2, -2 * exact)
+        rt = rho_m * (1 - q)
+        exact_d = float(q * (1 - rho_m * rt) / (1 - rt * rt))
+    r, d = solve_symmetric_rate(1.0, rho, p, 1.0)
+    assert r == pytest.approx(float(exact), abs=1e-9)
+    assert d == pytest.approx(exact_d, rel=1e-9, abs=0.0)
 
 
 @log2_offsets
