@@ -147,7 +147,8 @@ def test_symmetric_outer_bound_with_overflowing_denominator_matches_mpmath(p, rh
             want = (pm * (1 - r * r) + 1) / denom
         else:
             want = mp.sqrt((1 - r * r) / denom)
-    assert symmetric_outer_bound(1.0, rho, p, 1.0) == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    got = symmetric_outer_bound(1.0, rho, p, 1.0)
+    assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
 def test_oracle_matches_closed_form_spot_checks():
