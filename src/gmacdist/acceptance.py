@@ -8,6 +8,7 @@ are recorded on the result objects for the test suite to enforce.
 """
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass
@@ -111,10 +112,17 @@ def _criterion_3(seed: int, threads: int):
                 f"{worst_branch:.3e} (tol 1e-12), desk point {'ok' if desk_ok else 'off'}")
 
 
+@functools.lru_cache(maxsize=1)
+def _uncoded_sim(seed: int, threads: int):
+    """The simulation criteria 4 and 5 both check; run_all clears the cache,
+    so each call runs it at most once."""
+    c = symmetric_instance(1.0, 0.5, 2.0, 3.0)
+    return simulate_uncoded(c, 10**6, derive_seed(seed, 4), threads=threads)
+
+
 def _criterion_4(seed: int, threads: int):
     """Monte Carlo uncoded transmission reproduces the closed form."""
-    c = symmetric_instance(1.0, 0.5, 2.0, 3.0)
-    sim = simulate_uncoded(c, 10**6, derive_seed(seed, 4), threads=threads)
+    sim = _uncoded_sim(seed, threads)
     errs = (
         abs(sim.d1 - 0.5) / 0.5,
         abs(sim.d2 - 0.5) / 0.5,
@@ -144,7 +152,7 @@ def _criterion_5(seed: int, threads: int):
                     ref = symmetric_uncoded_bound(sigma_sq, rho, p, nv)
                     worst_id = max(worst_id, abs(d1 - ref) / ref)
     c = symmetric_instance(1.0, 0.5, 2.0, 3.0)
-    sim = simulate_uncoded(c, 10**6, derive_seed(seed, 4), threads=threads)
+    sim = _uncoded_sim(seed, threads)
     good = uncoded_distortions(c).d1
     # same numerator over a denominator with the cross term halved
     bad = (c.p2 * 0.75 + c.noise_var) / (c.p1 + c.p2 + 0.5 * math.sqrt(c.p1 * c.p2)
@@ -264,6 +272,7 @@ def run_all(seed: int = DEFAULT_SEED, threads: int = 1,
         bad = wanted - known
         if bad:
             raise ValueError(f"unknown criteria: {sorted(bad)}")
+    _uncoded_sim.cache_clear()
     results = []
     for number, name, fn, limit in _CRITERIA:
         if wanted is not None and number not in wanted:

@@ -142,34 +142,25 @@ def encode(cb: Codebook, s: np.ndarray, power: float):
     return idx, _channel_gain(cb, power) * cb.words[idx]
 
 
-def _best_update(best, f, i1, i2):
-    """Keep the larger objective; break exact ties toward the lower pair."""
-    if best is None or f > best[0] or (f == best[0] and (i1, i2) < (best[1], best[2])):
-        return (f, i1, i2)
-    return best
-
-
-def _seed_incumbent(w1, w2, a1, a2, b, two_a, glo, ghi):
-    """Best in-window pair among the strongest words on each side.
-
-    Equal to feeding the block's in-window pairs through _best_update one by
-    one: the largest objective, exact ties going to the lowest (i1, i2).
+def _block_best(best, rows, cols, gram, a1, a2, b, two_a, glo, ghi):
+    """The incumbent best or the block's best in-window pair, whichever wins:
+    the largest objective, exact ties to the lowest (i1, i2), never a NaN.
+    gram[r, c] is the correlation of first word rows[r] with second word
+    cols[c].  Returns (objective, i1, i2), or None when nothing qualifies.
     """
-    m1, m2 = len(a1), len(a2)
-    k1 = min(_SEED_WORDS, m1)
-    k2 = min(_SEED_WORDS, m2)
-    top1 = np.argpartition(-a1, k1 - 1)[:k1] if k1 < m1 else np.arange(m1)
-    top2 = np.argpartition(-a2, k2 - 1)[:k2] if k2 < m2 else np.arange(m2)
-    gblk = w1[top1] @ w2[top2].T
-    ii, jj = np.nonzero((gblk >= glo) & (gblk <= ghi))
-    if not ii.size:
+    with np.errstate(invalid="ignore", divide="ignore"):
+        ii, jj = np.nonzero((gram >= glo) & (gram <= ghi))
+        f = (a1[rows[ii]] + a2[cols[jj]]) / np.sqrt(b + two_a * gram[ii, jj])
+    # NaN != NaN, so the mask leaves NaN out of the max and of the ties
+    top = f.max(initial=-np.inf if best is None else best[0], where=f == f)
+    tied = np.flatnonzero(f == top)
+    i1, i2 = rows[ii[tied]], cols[jj[tied]]
+    if best is not None and top == best[0]:
+        i1, i2 = np.append(i1, best[1]), np.append(i2, best[2])
+    if not len(i1):
         return None
-    fblk = (a1[top1[ii]] + a2[top2[jj]]) / np.sqrt(b + two_a * gblk[ii, jj])
-    fmax = fblk.max()
-    tied = np.flatnonzero(fblk == fmax)
-    i1, i2 = top1[ii[tied]], top2[jj[tied]]
     t = np.lexsort((i2, i1))[0]
-    return (float(fmax), int(i1[t]), int(i2[t]))
+    return (float(top), int(i1[t]), int(i2[t]))
 
 
 def _descending_prefix(key, k):
@@ -209,12 +200,11 @@ def _filter_candidates(a1p, a2, best, den_min):
 def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
     """Exact search over the correlation window without forming all pairs.
 
-    The incumbent is seeded from the strongest words on each side.  First
-    words are then visited in decreasing order of their channel correlation
-    a1 (stable, so ties go to the lower index); once no remaining first word
-    can beat the incumbent even with the most favorable second word and
-    denominator, the scan stops.  Only the visited prefix of that order is
-    sorted, extended by doubling as needed.
+    First words are visited in decreasing order of their channel
+    correlation a1 (stable, so ties go to the lower index); only the
+    visited prefix of that order is sorted, extended by doubling as needed.
+    The incumbent is seeded by scoring the first _SEED_WORDS of that order
+    against the _SEED_WORDS strongest second words.
 
     The visited words' correlations come from one GEMM per block of rows,
     written into one buffer: _SCAN_ROWS rows at first, then doubling while a
@@ -226,14 +216,20 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
     block's survivors: the incumbent never falls, a1 never rises along the
     order, and both the rounded sum a1 + a2 and bound() are monotone, so a
     column that fails once fails for the rest of the scan, and the kept set
-    of each block is exactly that of the full test.  A GEMM entry may
-    differ from the single-word product in the last bit.  Returns
-    (objective, i1, i2), or None when no pair lies in the window.
+    of each block is exactly that of the full test.  The scan stops at the
+    first block that keeps no column: no pair left can reach the incumbent.
+    A GEMM entry may differ from the single-word product in the last bit.
+
+    The seed and each block, in row slices of about _SCAN_BLOCK_BYTES / 64
+    entries (the scorer keeps a few words per entry), go through
+    _block_best: the largest objective wins, exact ties go to the lowest
+    (i1, i2), and a NaN objective (a sum whose squared norm rounds to zero
+    or below) never wins.  Returns (objective, i1, i2), or None when no
+    pair in the window has a number for its objective.
     """
     m1, m2 = len(a1), len(a2)
     den_min = math.sqrt(max(b + two_a * glo, 0.0))
     den_max = math.sqrt(max(b + two_a * ghi, 0.0))
-    a2max = float(a2.max())
 
     def bound(num):
         # the largest objective an in-window pair with this numerator reaches
@@ -241,15 +237,14 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
         lo = num / den_max if den_max > 0 else 0.0
         return np.where(num > 0, hi, lo)
 
-    def row_bound(num):
-        # bound() of one Python float: the same IEEE divisions, so the same bits
-        if num > 0:
-            return num / den_min if den_min > 0 else math.inf
-        return num / den_max if den_max > 0 else 0.0
-
-    best = _seed_incumbent(w1, w2, a1, a2, b, two_a, glo, ghi)
     key = -a1
-    order = _descending_prefix(key, _ORDER_BLOCK)
+    order = _descending_prefix(key, max(_ORDER_BLOCK, _SEED_WORDS))
+    k2 = min(_SEED_WORDS, m2)
+    # a copy, so the partition of every word is not kept alive by a view
+    top2 = np.argpartition(-a2, k2 - 1)[:k2].copy() if k2 < m2 else np.arange(m2)
+    top1 = order[:_SEED_WORDS]
+    best = _block_best(None, top1, top2, w1[top1] @ w2[top2].T,
+                       a1, a2, b, two_a, glo, ghi)
     cap = max(1, _SCAN_BLOCK_BYTES // (8 * m2))
     buf = np.empty(min(cap, m1) * m2)
     rows = min(_SCAN_ROWS, cap)
@@ -260,8 +255,7 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
             order = _descending_prefix(key, max(2 * len(order), pos + rows))
         blk = order[pos:pos + rows]
         if best is None:
-            cols = np.arange(m2)
-            w2c = w2
+            cols, w2c = np.arange(m2), w2
         else:
             # a1 falls along the order, so the first row bounds the block
             a1p = a1[blk[0]]
@@ -272,17 +266,12 @@ def _decode_pruned(w1, w2, a1, a2, b, two_a, glo, ghi):
                 break
             cols = live
             w2c = w2[cols]
-        a2c = a2[cols]
         gram = buf[:len(blk) * len(cols)].reshape(len(blk), len(cols))
         np.matmul(w1[blk], w2c.T, out=gram)
-        for p, g in zip(blk, gram):
-            if best is not None and row_bound(float(a1[p]) + a2max) < best[0]:
-                return best
-            sel = np.flatnonzero((g >= glo) & (g <= ghi))
-            if sel.size:
-                f = (a1[p] + a2c[sel]) / np.sqrt(b + two_a * g[sel])
-                k = int(np.argmax(f))
-                best = _best_update(best, float(f[k]), int(p), int(cols[sel[k]]))
+        step = max(1, (_SCAN_BLOCK_BYTES >> 6) // len(cols))
+        for r in range(0, len(blk), step):
+            best = _block_best(best, blk[r:r + step], cols, gram[r:r + step],
+                               a1, a2, b, two_a, glo, ghi)
         pos += len(blk)
         rows = min(2 * rows, cap)
     return best

@@ -226,6 +226,28 @@ def test_simulate_vq_at_extreme_scales(capsys, scale):
     assert doc["empirical_d1"] > 0 and doc["empirical_d2"] > 0
 
 
+# at n = 1 every word is +-radius, and the sum's squared norm b + two_a * -rr
+# rounds to zero or below, so some objectives are NaN or infinite
+@pytest.mark.parametrize("flags", [
+    ("--r1", "1", "--r2", "1"),
+    ("--r1", "2", "--r2", "2"),
+    ("--r1", "8", "--r2", "8"),
+    ("--r1", "1", "--r2", "1", "--delta-typ", "0"),
+    ("--rho", "-0.5", "--var1", "1", "--var2", "4", "--r1", "1", "--r2", "1"),
+])
+def test_simulate_vq_at_blocklength_1(capsys, flags):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "simulate-vq", "--rho", "0.5", "--p", "1",
+                                 "-n", "1", "--trials", "200", *flags)
+    assert (code, err) == (0, "")
+    assert [(w.category, "outside the decodable region" in str(w.message))
+            for w in caught] == [(UserWarning, True)]
+    doc = json.loads(out)
+    check_schema(doc, "simulate-vq")
+    assert doc["blocklength"] == 1 and doc["trials"] == 200
+
+
 def test_jsonable_replaces_nonfinite():
     got = cli._jsonable({"a": math.nan, "b": [math.inf, 1.0]})
     assert got == {"a": None, "b": [None, 1.0]}

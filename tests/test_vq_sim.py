@@ -18,12 +18,11 @@ from gmacdist.vq_analytic import make_rate_pair
 from gmacdist.vq_sim import (
     CodebookSizeError,
     VqTrialStats,
-    _best_update,
+    _block_best,
     _channel_gain,
     _decode_pruned,
     _descending_prefix,
     _filter_candidates,
-    _seed_incumbent,
     decode,
     encode,
     generate_codebook,
@@ -106,6 +105,28 @@ def _simulate_one_by_one(c, rates, n, trials, delta_typ, seed):
         fallback_count=int(fell.sum()),
         seed=int(seed),
     )
+
+
+def _best_update(best, f, i1, i2):
+    """Sequential reference: keep the larger objective, break exact ties
+    toward the lower pair; a NaN objective never wins."""
+    if math.isnan(f):
+        return best
+    if best is None or f > best[0] or (f == best[0] and (i1, i2) < (best[1], best[2])):
+        return (f, i1, i2)
+    return best
+
+
+def _scalar_block_best(best, rows, cols, gram, a1, a2, b, two_a, glo, ghi):
+    """Reference scorer: the block's entries fed to _best_update one by one."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for r, i in enumerate(rows):
+            for c, j in enumerate(cols):
+                g = gram[r, c]
+                if glo <= g <= ghi:
+                    f = (a1[i] + a2[j]) / np.sqrt(b + two_a * g)
+                    best = _best_update(best, float(f), int(i), int(j))
+    return best
 
 
 def _decode_bruteforce(w1, w2, a1, a2, b, two_a, glo, ghi):
@@ -358,29 +379,94 @@ def test_pruned_decoder_matches_bruteforce(monkeypatch):
                 assert got[0] == pytest.approx(want[0], rel=1e-9)
 
 
-def test_seed_incumbent_matches_scalar_loop():
-    def scalar(w1, w2, a1, a2, b, two_a, glo, ghi):
-        k1, k2 = min(64, len(a1)), min(64, len(a2))
-        top1 = np.argpartition(-a1, k1 - 1)[:k1] if k1 < len(a1) else np.arange(len(a1))
-        top2 = np.argpartition(-a2, k2 - 1)[:k2] if k2 < len(a2) else np.arange(len(a2))
-        best = None
-        for i in top1:
-            for j in top2:
-                g = w1[i] @ w2[j]
-                if glo <= g <= ghi:
-                    f = (a1[i] + a2[j]) / np.sqrt(b + two_a * g)
-                    best = _best_update(best, float(f), int(i), int(j))
-        return best
-
+def test_block_best_matches_scalar_loop():
+    rng = np.random.default_rng(5)
     cases = [_tied_setup(seed) for seed in range(10)]
     for seed in range(10):
         cb1, cb2, y = _random_setup(seed, n=10, bits1=7, bits2=8)
         a1, a2, b, two_a = _decode_args(cb1, cb2, y, 1.2, 0.7)
         cases.append((cb1.words, cb2.words, a1, a2, b, two_a, cb1.radius * cb2.radius))
     for w1, w2, a1, a2, b, two_a, rr in cases:
-        for lo, hi in ((-rr, rr), (0.1 * rr, 0.4 * rr), (2 * rr, 3 * rr)):
-            got = _seed_incumbent(w1, w2, a1, a2, b, two_a, lo, hi)
-            assert got == scalar(w1, w2, a1, a2, b, two_a, lo, hi)
+        # blocks of rows in no particular order, columns ascending or not
+        rows = rng.permutation(len(a1))[:40]
+        cols = rng.permutation(len(a2))[:50]
+        for c in (cols, np.sort(cols)):
+            gram = w1[rows] @ w2[c].T
+            for lo, hi in ((-rr, rr), (0.1 * rr, 0.4 * rr), (2 * rr, 3 * rr)):
+                args = (rows, c, gram, a1, a2, b, two_a, lo, hi)
+                want = _scalar_block_best(None, *args)
+                assert _block_best(None, *args) == want
+                # incumbents the block beats, ties at a lower or a higher
+                # pair, or does not reach
+                incs = [(-math.inf, 0, 0), (0.0, 10**6, 10**6)]
+                if want is not None:
+                    incs += [want, (want[0], 0, 0), (want[0], 10**6, 10**6),
+                             (math.nextafter(want[0], math.inf), 5, 5)]
+                for inc in incs:
+                    assert _block_best(inc, *args) == _scalar_block_best(inc, *args)
+
+
+def _score(objectives, best=None, window=(-math.inf, math.inf)):
+    """_block_best, checked against the scalar loop, on a block whose entry
+    (r, c) has the objective objectives[r][c].  Row r is first word
+    2 * (rows - 1 - r), so the rows come in decreasing index order, and
+    column c is second word c + 3.  Each row's numerator a1 + a2 is -1 if
+    the row holds a negative objective and 1 otherwise, and the entry's
+    correlation g makes 1 / sqrt(g) the objective's size: 1 / f**2, 0 for
+    an infinity and -1 for NaN."""
+    f = np.array(objectives, dtype=float)
+    rows = 2 * np.arange(len(f))[::-1]
+    cols = np.arange(f.shape[1]) + 3
+    a1 = np.zeros(2 * len(f))
+    a1[rows] = np.where((f < 0).any(axis=1), -1.0, 1.0)
+    a2 = np.zeros(f.shape[1] + 3)
+    gram = np.where(np.isnan(f), -1.0, 1.0 / f ** 2)
+    args = (rows, cols, gram, a1, a2, 0.0, 1.0, *window)
+    got = _block_best(best, *args)
+    assert got == _scalar_block_best(best, *args)
+    return got
+
+
+def test_block_best_skips_nan_and_keeps_infinities():
+    nan, inf = math.nan, math.inf
+    # every objective NaN, alone or against an incumbent
+    assert _score([[nan, nan], [nan, nan]]) is None
+    assert _score([[nan, nan]], best=(-inf, 9, 9)) == (-inf, 9, 9)
+    # NaN beside finite values: the finite value wins wherever the NaN is
+    assert _score([[nan, 1.0], [2.0, nan]]) == (2.0, 0, 3)
+    assert _score([[1.0, nan]], best=(0.5, 0, 0)) == (1.0, 0, 3)
+    assert _score([[nan, -2.0]]) == (-2.0, 0, 4)
+    # infinities are objectives like any other
+    assert _score([[-inf, -inf]]) == (-inf, 0, 3)
+    assert _score([[-inf, nan], [1.0, inf]]) == (inf, 0, 4)
+    assert _score([[inf]], best=(inf, 0, 0)) == (inf, 0, 0)
+    # an empty window
+    assert _score([[1.0, 2.0]], window=(2.0, 3.0)) is None
+    assert _score([[1.0, 2.0]], best=(0.5, 1, 1), window=(2.0, 3.0)) == (0.5, 1, 1)
+
+
+def test_block_best_breaks_ties_across_rows_toward_the_lowest_pair():
+    # first words 6, 4, 2, 0 and second words 5, 3, 4; with a unit numerator
+    # and b = 0, two_a = 1 the objective is 1 / sqrt(g), and 2.0 ties at
+    # (6, 3), (2, 5), (2, 3) and (0, 4)
+    rows = np.array([6, 4, 2, 0])
+    cols = np.array([5, 3, 4])
+    f = np.array([[1.0, 2.0, 0.5],
+                  [1.0, 1.0, 1.0],
+                  [2.0, 2.0, 1.0],
+                  [0.5, 1.0, 2.0]])
+    gram = 1.0 / f ** 2
+    a1, a2 = np.zeros(7), np.ones(6)
+    consts = (a1, a2, 0.0, 1.0, -math.inf, math.inf)
+    assert _block_best(None, rows, cols, gram, *consts) == (2.0, 0, 4)
+    assert _scalar_block_best(None, rows, cols, gram, *consts) == (2.0, 0, 4)
+    assert _block_best((2.0, 0, 3), rows, cols, gram, *consts) == (2.0, 0, 3)
+    assert _block_best((2.0, 1, 0), rows, cols, gram, *consts) == (2.0, 0, 4)
+    # the same block scored one row at a time, in the order given
+    best = None
+    for r in range(len(rows)):
+        best = _block_best(best, rows[r:r + 1], cols, gram[r:r + 1], *consts)
+    assert best == (2.0, 0, 4)
 
 
 def test_descending_prefix_matches_stable_argsort():
@@ -436,7 +522,13 @@ def _decode_full_filter(w1, w2, a1, a2, b, two_a, glo, ghi, gemms=None):
             return num / den_min if den_min > 0 else math.inf
         return num / den_max if den_max > 0 else 0.0
 
-    best = _seed_incumbent(w1, w2, a1, a2, b, two_a, glo, ghi)
+    # the seed: the first _SEED_WORDS of the scan order against the
+    # strongest second words, through the library's own seed GEMM
+    k2 = min(vq_sim._SEED_WORDS, m2)
+    top1 = np.argsort(-a1, kind="stable")[:vq_sim._SEED_WORDS]
+    top2 = np.argpartition(-a2, k2 - 1)[:k2] if k2 < m2 else np.arange(m2)
+    best = _scalar_block_best(None, top1, top2, w1[top1] @ w2[top2].T,
+                              a1, a2, b, two_a, glo, ghi)
     key = -a1
     order = _descending_prefix(key, vq_sim._ORDER_BLOCK)
     cap = max(1, vq_sim._SCAN_BLOCK_BYTES // (8 * m2))
