@@ -409,8 +409,8 @@ def test_block_best_matches_scalar_loop():
 def _score(objectives, best=None, window=(-math.inf, math.inf)):
     """_block_best, checked against the scalar loop, on a block whose entry
     (r, c) has the objective objectives[r][c].  Row r is first word
-    2 * (rows - 1 - r), so the rows come in decreasing index order, and
-    column c is second word c + 3.  Each row's numerator a1 + a2 is -1 if
+    2 * (len(objectives) - 1 - r), so the rows come in decreasing index
+    order, and column c is second word c + 3.  Each row's numerator a1 + a2 is -1 if
     the row holds a negative objective and 1 otherwise, and the entry's
     correlation g makes 1 / sqrt(g) the objective's size: 1 / f**2, 0 for
     an infinity and -1 for NaN."""
