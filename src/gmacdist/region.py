@@ -182,9 +182,7 @@ def _search_rates(c: CanonicalInstance, objective, targets: int, coarse=None):
         while live.size and span > 0.5e-6:  # rates to within 1e-6
             axes = _zoom_axes(np.maximum(rates - span, 0.0),
                               np.minimum(rates + span, cap))
-            # a lone target's window is scored as a plain 13 x 13 grid,
-            # which numpy broadcasts faster than a (1, 13, 13) one
-            scored = distortion_grid(c, *(axes[:, 0] if live.size == 1 else axes))
+            scored = distortion_grid(c, *axes)
             v, k = _window_best(objective, live, scored, rows)
             better = v < val
             np.copyto(rates, axes[_RATE_AXES, rows, _ZOOM_CELLS[:, k]], where=better)

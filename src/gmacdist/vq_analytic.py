@@ -19,26 +19,6 @@ from .rd_bounds import ConvergenceError
 
 _REGION_TOL = 1e-12
 
-# numpy's log2 differs from libm's by at most an ulp on a small share of
-# inputs.  An array decision whose operand lies within this relative band of
-# its edge is decided again with libm; the band is about 4,000 ulps wide.
-_EDGE_BAND = 2.0 ** -40
-_BAND_LOW, _BAND_HIGH = 1.0 - _EDGE_BAND, 1.0 + _EDGE_BAND
-_np_log2 = np.log2  # one name, so tests can move numpy's log2 by a few ulps
-
-
-def _libm_near_edge(fast, near, exact):
-    """fast, with exact(k) in place of each flat entry k where near holds.
-
-    fast is a decision computed with numpy's log2; near marks the entries
-    within _EDGE_BAND of their decision edge, the only ones where an ulp of
-    log2 can change the outcome; exact(k) redoes entry k with libm.
-    """
-    for k in np.flatnonzero(near).tolist():
-        fast.flat[k] = exact(k)
-    return fast
-
-
 _pow2 = functools.partial(pow, 2.0)
 
 
@@ -49,9 +29,11 @@ def _share(r):
     Each entry is libm's pow: numpy's vectorized power differs from libm in
     the last bit on several percent of inputs, and those bits reach printed
     distortions, so the array forms stay bitwise equal to scalar evaluation.
-    log2 is taken with numpy and checked with _libm_near_edge.
+    A rate near the top of the double range takes its exponent to -inf
+    quietly, as the scalar 2.0 ** (-2.0 * r) does.
     """
-    x = -2.0 * np.asarray(r, dtype=float)
+    with np.errstate(over="ignore"):
+        x = -2.0 * np.asarray(r, dtype=float)
     return np.fromiter(map(_pow2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
@@ -116,9 +98,11 @@ def make_rate_pair(c: CanonicalInstance, r1: float, r2: float) -> RatePair:
 
 def rate_region_limits(c: CanonicalInstance, rt: float):
     """Single-rate and sum-rate ceilings of the decodable region at a given
-    residual correlation.  Raises ValueError when 1 - rt^2 rounds to 0."""
+    residual correlation, each half numpy's log2 of its argument, as
+    distortion_grid takes them.  Raises ValueError when 1 - rt^2 rounds
+    to 0."""
     _require_decodable(rt)
-    return tuple(0.5 * math.log2(a) for a in _limit_args(c, rt, 1.0 - rt * rt))
+    return tuple(float(0.5 * np.log2(a)) for a in _limit_args(c, rt, 1.0 - rt * rt))
 
 
 def in_rate_region(c: CanonicalInstance, rates: RatePair) -> bool:
@@ -152,38 +136,21 @@ def distortion_grid(c: CanonicalInstance, r1: np.ndarray, r2: np.ndarray):
     r1 of shape (..., n1) and r2 of shape (..., n2), with the same leading
     axes, give (inside, d1, d2) as arrays of shape (..., n1, n2): one grid
     per leading index.  Each cell is bitwise what in_rate_region and
-    vq_distortions give for that pair.  Cells where 1 - rho_tilde^2 rounds
-    to 0 count as outside.  The region limits take numpy's log2; a cell
-    whose rate or rate sum lies within _EDGE_BAND of a limit is tested again
-    with libm's.
+    vq_distortions give for that pair, by construction: the same
+    operations, and the region limits take numpy's log2 on both paths.
+    Cells where 1 - rho_tilde^2 rounds to 0 count as outside.
     """
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    n1, n2 = r1.shape[-1], r2.shape[-1]
+    n1 = r1.shape[-1]
     q = _share(np.concatenate((r1, r2), axis=-1))
     q1, q2 = q[..., :n1, None], q[..., None, n1:]
-    r1, r2 = r1[..., :, None], r2[..., None, :]
     rt = _corr(c.rho, q1, q2)
     one = 1.0 - rt * rt
     with np.errstate(all="ignore"):
-        args = _limit_args(c, rt, one)
-        rates = (r1, r2, r1 + r2)
-        edges = [0.5 * _np_log2(a) + _REGION_TOL for a in args]
-        # every edge is positive; a cell inside the edges lowered by the band,
-        # or outside the edges raised by it, is decided alike at libm's edges
-        low = [x <= e * _BAND_LOW for x, e in zip(rates, edges)]
-        high = [x <= e * _BAND_HIGH for x, e in zip(rates, edges)]
-        inside = low[0] & low[1] & low[2]
-        near = (high[0] & high[1] & high[2]) ^ inside
+        limits = [0.5 * np.log2(a) for a in _limit_args(c, rt, one)]
+        inside = (one != 0.0) & _inside(r1[..., :, None], r2[..., None, :], limits)
         d1, d2 = _distortions(c, q1, q2, one)
-
-    def libm_cell(k):
-        # flat cell k is row k // n2 of the stacked (..., n1) first rates
-        row, j = divmod(k, n2)
-        return _inside(float(r1.flat[row]), float(r2.flat[row // n1 * n2 + j]),
-                       [0.5 * math.log2(a.flat[k]) for a in args])
-
-    inside = (one != 0.0) & _libm_near_edge(inside, near, libm_cell)
     return inside, d1, d2
 
 

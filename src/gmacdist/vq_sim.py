@@ -288,7 +288,9 @@ def decode(cb1: Codebook, cb2: Codebook, a1: np.ndarray, a2: np.ndarray,
     lies within delta_typ of rho_t and returns the pair maximizing the
     normalized inner product of alpha1*u1 + alpha2*u2 with y.  If the window
     is empty the search is repeated over all pairs and the result is
-    flagged as a fallback.
+    flagged as a fallback.  Raises ValueError when no pair has a number for
+    its objective, which happens only when the channel correlations
+    overflow.
     """
     if cb1.size == 1 and cb2.size == 1:
         return DecodeResult(0, 0, False)
@@ -303,6 +305,9 @@ def decode(cb1: Codebook, cb2: Codebook, a1: np.ndarray, a2: np.ndarray,
     if best is not None:
         return DecodeResult(best[1], best[2], False)
     best = _decode_pruned(cb1.words, cb2.words, a1, a2, b, two_a, -rr, rr)
+    if best is None:
+        raise ValueError("every decoding objective is NaN: the channel "
+                         "correlations overflow at this power")
     return DecodeResult(best[1], best[2], True)
 
 
@@ -437,15 +442,18 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
         s1, s2, z = draws
         idx1, x1 = encode(cb1, s1, c.p1)
         idx2, x2 = encode(cb2, s2, c.p2)
-        y = x1 + x2 + z
-        # alpha * (y @ w.T), scaled in place: the same products
-        a1 = y @ w1.T
-        a1 *= alpha1
-        a2 = y @ w2.T
-        a2 *= alpha2
-        # rows (index1, index2, fallback), one per trial
-        dec = np.array([decode(cb1, cb2, a1[t], a2[t], rt, delta_typ, alpha1, alpha2)
-                        for t in range(len(y))])
+        # near the top of the power range the channel's sums overflow; the
+        # decoder skips every NaN objective and raises if nothing is left
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = x1 + x2 + z
+            # alpha * (y @ w.T), scaled in place: the same products
+            a1 = y @ w1.T
+            a1 *= alpha1
+            a2 = y @ w2.T
+            a2 *= alpha2
+            # rows (index1, index2, fallback), one per trial
+            dec = np.array([decode(cb1, cb2, a1[t], a2[t], rt, delta_typ, alpha1, alpha2)
+                            for t in range(len(y))])
         u1, u2 = w1[dec[:, 0]], w2[dec[:, 1]]
         v1, v2 = w1[idx1], w2[idx2]
         se[ks, 0] = row_dots(s1 - (beta1 * u1 + gamma1 * u2))

@@ -248,6 +248,44 @@ def test_simulate_vq_at_blocklength_1(capsys, flags):
     assert doc["blocklength"] == 1 and doc["trials"] == 200
 
 
+# near the top of the power range the channel correlations overflow and
+# every decoding objective is NaN, even over the fallback's full window
+@pytest.mark.parametrize("p, n, threads", [
+    ("5e307", "8", "1"), ("1e308", "1", "1"), ("1e308", "8", "1"), ("1e308", "8", "2"),
+])
+def test_simulate_vq_with_overflowing_channel_exits_1(capsys, p, n, threads):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate-vq", "--rho", "0.5", "--p", p,
+                                 "--r1", "1", "--r2", "1", "-n", n, "--trials", "5",
+                                 "--threads", threads)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
+
+
+@pytest.mark.parametrize("p", ["1e306", "1e307"])
+def test_simulate_vq_below_the_overflow_prints(capsys, p):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "simulate-vq", "--rho", "0.5", "--p", p,
+                                 "--r1", "1", "--r2", "1", "-n", "8", "--trials", "5")
+    assert (code, err) == (0, "")
+    check_schema(json.loads(out), "simulate-vq")
+
+
+def test_vq_bound_at_an_overflowing_rate_is_quiet(capsys):
+    # -2 r overflows to -inf in the share 2^-2r, which is then 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "vq-bound", "--rho", "0.5", "--r1", "1e308",
+                                 "--r2", "0.5")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert {k: doc[k] for k in ("d1", "d2", "in_region", "rho_tilde")} == {
+        "d1": 0.0, "d2": 0.42857142857142855, "in_region": False,
+        "rho_tilde": 0.3535533905932738}
+
+
 def test_jsonable_replaces_nonfinite():
     got = cli._jsonable({"a": math.nan, "b": [math.inf, 1.0]})
     assert got == {"a": None, "b": [None, 1.0]}
