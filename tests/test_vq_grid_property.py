@@ -37,9 +37,6 @@ rhos = st.one_of(st.sampled_from([0.0, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0))
 instances = st.builds(CanonicalInstance, scales, rhos, scales, scales, scales)
 shift = st.floats(0.0, 1.0)
 
-SPECIAL_RHO = [example(CanonicalInstance(1.0, rho, 2.0, 0.5, 1.0), 0.5)
-               for rho in (0.0, 1.0 - 1e-12, 1.0)]
-
 
 def _near(x):
     """x and its neighbours up to two ulps either side, when x is finite."""
@@ -108,9 +105,9 @@ def _assert_grid(c, a1, a2, grid):
 
 @settings(max_examples=EXAMPLES)
 @given(instances, shift)
-@SPECIAL_RHO[0]
-@SPECIAL_RHO[1]
-@SPECIAL_RHO[2]
+@example(CanonicalInstance(1.0, 0.0, 2.0, 0.5, 1.0), 0.5)
+@example(CanonicalInstance(1.0, 1.0 - 1e-12, 2.0, 0.5, 1.0), 0.5)
+@example(CanonicalInstance(1.0, 1.0, 2.0, 0.5, 1.0), 0.5)
 def _grid_cells_equal_scalar_forms(c, t):
     a1, a2 = _axes(c, t)
     _assert_grid(c, a1, a2, distortion_grid(c, a1, a2))
