@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gmacdist import vq_analytic
 from gmacdist.model import CanonicalInstance, symmetric_instance
 from gmacdist.rd_bounds import symmetric_outer_bound
 from gmacdist.vq_analytic import (
@@ -172,7 +173,8 @@ def test_full_residual_correlation_is_rejected():
 
 
 # Scalar references.  reference_grid evaluates each cell on Python floats:
-# libm's pow for the shares, and numpy's log2 for the region limits, as
+# libm's pow for the shares, and for the region limits the log2 that
+# vq_analytic takes (numpy's, or numpy's moved by the log2_off fixture), as
 # in_rate_region takes them; distortion_grid must agree with it bit for bit.
 # The symmetric references take libm's log2, as solve_symmetric_rate does;
 # reference_solve keeps the 1,025-point scan the solver replaced.
@@ -183,7 +185,7 @@ def _scalar_map(fn, x):
 
 
 def _np_log2(v):
-    return float(np.log2(v))
+    return float(vq_analytic.np.log2(v))
 
 
 def reference_grid(c, r1, r2):
@@ -259,6 +261,38 @@ def _step(x, ulps):
     return x
 
 
+class _MovedLog2:
+    """numpy, but with log2 moved by ulps units in the last place."""
+
+    def __init__(self, ulps):
+        self.ulps = ulps
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def log2(self, x):
+        return _step(np.log2(x), self.ulps)
+
+
+# numpy's log2 as it is, and moved by 1 and 64 ulps either way, under both
+# the scalar region test and distortion_grid: they take the region limits
+# from one log2, so no such move can part them, and the symmetric solve takes
+# libm's log2, so no such move reaches it
+log2_offsets = pytest.mark.parametrize("ulps", [0, 1, -1, 64, -64])
+
+
+@pytest.fixture
+def log2_off(monkeypatch, ulps):
+    monkeypatch.setattr(vq_analytic, "np", _MovedLog2(ulps))
+
+
+def _libm_edges(c, rt):
+    """The region limits of rate_region_limits, but each taken with libm's
+    log2, plus the closure."""
+    return [0.5 * math.log2(a) + 1e-12
+            for a in vq_analytic._limit_args(c, rt, 1.0 - rt * rt)]
+
+
 def _edges(c, rt):
     return [b + 1e-12 for b in rate_region_limits(c, rt)]
 
@@ -300,7 +334,8 @@ EDGE_INSTANCES = (CanonicalInstance(1.0, 0.0, 0.7, 4.0, 0.3),
                   symmetric_instance(1.0, 0.3, 8.0, 1.0))
 
 
-def test_grid_cells_on_the_limit_match_reference():
+@log2_offsets
+def test_grid_cells_on_the_libm_limit_match_reference(log2_off):
     for c in EDGE_INSTANCES:
         # at zero second rate rho_tilde is 0 and the first-rate limit binds
         e1 = _edges(c, 0.0)[0]
@@ -308,20 +343,24 @@ def test_grid_cells_on_the_limit_match_reference():
         col = [float(_step(e1, k)) for k in (-1, 0, 1)]
         row = [float(_step(e2, k)) for k in (-1, 0, 1)]
         r1, sums = _sum_edge_row(c)
-        axis1 = np.array([0.0, *col, r1])
-        axis2 = np.array([0.0, *row, *sums])
+        # and cells around libm's limits, where the last bit of the two log2s
+        # may differ, in the trailing rows and columns
+        l1, l2, _ = _libm_edges(c, 0.0)
+        axis1 = np.array([0.0, *col, r1, *(float(_step(l1, k)) for k in (-1, 0, 1))])
+        axis2 = np.array([0.0, *row, *sums, *(float(_step(l2, k)) for k in (-1, 0, 1))])
         inside, d1, d2 = distortion_grid(c, axis1, axis2)
         ref = reference_grid(c, axis1, axis2)
         # the cells sit where intended: inside up to the edge, outside past it
         assert ref[0][1:4, 0].tolist() == [True, True, False]
         assert ref[0][0, 1:4].tolist() == [True, True, False]
-        assert ref[0][4, 4:].tolist() == [True, True, False]
+        assert ref[0][4, 4:7].tolist() == [True, True, False]
         assert inside.tolist() == ref[0].tolist()
         assert d1.tobytes() == ref[1].tobytes()
         assert d2.tobytes() == ref[2].tobytes()
 
 
-def test_grids_match_reference_near_the_region_corner():
+@log2_offsets
+def test_grids_match_reference_under_moved_log2(log2_off):
     rng = np.random.default_rng(16)
     for k in range(24):
         rho = (0.0, 0.999999, float(rng.uniform(0.0, 0.999)))[k % 3]
@@ -359,14 +398,16 @@ SCAN_ON_ZERO = [
 ]
 
 
-def test_scan_points_on_zero_match_reference():
+@log2_offsets
+def test_scan_points_on_zero_match_reference(log2_off):
     for rho, p, k, u in SCAN_ON_ZERO:
         xs, gs = reference_scan(rho, p, 1.0)
         assert gs[k] == u * math.ulp(xs[k])
         assert solve_symmetric_rate(1.0, rho, p, 1.0) == reference_solve(1.0, rho, p, 1.0)
 
 
-def test_symmetric_solves_match_reference_at_moderate_powers():
+@log2_offsets
+def test_symmetric_solves_match_reference_under_moved_log2(log2_off):
     rng = np.random.default_rng(17)
     for k in range(40):
         rho = (0.0, 1.0, 1.0 - 1e-12, float(rng.uniform()))[k % 4]
@@ -420,7 +461,8 @@ def test_symmetric_solves_match_reference_on_golden_grids(sigma_sq, rho, grid):
 OVERFLOWING = [(0.999999999999, 1e300), (1.0 - 1e-15, 1e295), (0.9999999, 1e306)]
 
 
-def test_symmetric_solve_with_overflowing_quotient_matches_reference():
+@log2_offsets
+def test_symmetric_solve_with_overflowing_quotient_matches_reference(log2_off):
     for rho, p in OVERFLOWING:
         assert (2.0 * p * (1.0 + rho) + 1.0) / (1.0 - rho * rho) == math.inf
         r, d = solve_symmetric_rate(1.0, rho, p, 1.0)
@@ -466,7 +508,8 @@ def test_symmetric_solve_with_overflowing_numerator_is_the_fixed_point(rho, p):
     assert d == pytest.approx(exact_d, rel=1e-9, abs=0.0)
 
 
-def test_batched_grid_equals_stacked_grids():
+@log2_offsets
+def test_batched_grid_equals_stacked_grids(log2_off):
     # each leading index of a batch is the grid of its own axes; the cells on
     # the limits sit in the last rows
     rng = np.random.default_rng(18)
