@@ -20,12 +20,7 @@ import sys
 import numpy as np
 
 from .acceptance import DEFAULT_SEED, format_report, run_all
-from .model import (
-    DistortionPair,
-    ProblemInstance,
-    canonicalize,
-    canonicalize_distortion,
-)
+from .model import DistortionPair, ProblemInstance, canonicalize
 from .rd_bounds import ConvergenceError
 from .region import (
     TRACE_D1_START,
@@ -47,10 +42,6 @@ from .vq_analytic import (
 from .vq_sim import simulate_vq
 
 
-class CliError(ValueError):
-    """Bad flags or values; maps to exit status 1, as every ValueError does."""
-
-
 class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
@@ -59,7 +50,7 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
     def error(self, message):
-        raise CliError(message)
+        raise ValueError(message)
 
 
 def _default_seed() -> int:
@@ -69,7 +60,7 @@ def _default_seed() -> int:
     try:
         return int(raw)
     except ValueError:
-        raise CliError(f"GMACDIST_SEED must be an integer, got {raw!r}")
+        raise ValueError(f"GMACDIST_SEED must be an integer, got {raw!r}")
 
 
 def _instance_from_args(args) -> ProblemInstance:
@@ -88,8 +79,8 @@ def _canonical(inst: ProblemInstance):
     """canonicalize(inst), refusing a variance ratio outside the normal float64 range."""
     ratio = inst.sigma2_sq / inst.sigma1_sq
     if not sys.float_info.min <= ratio < math.inf:
-        raise CliError(f"the variance ratio --var2/--var1 = {inst.sigma2_sq:g}/"
-                       f"{inst.sigma1_sq:g} {_range_fault(ratio)}")
+        raise ValueError(f"the variance ratio --var2/--var1 = {inst.sigma2_sq:g}/"
+                         f"{inst.sigma1_sq:g} {_range_fault(ratio)}")
     return canonicalize(inst)
 
 
@@ -152,148 +143,123 @@ def _instance_command(answer):
     return handler
 
 
+def _in_instance_units(c, doc: dict, *keys) -> dict:
+    """doc with the canonical second-component distortions at keys taken
+    back to the instance's units."""
+    for k in keys:
+        doc[k] *= c.scale2
+    return doc
+
+
 def _bounds(args, c) -> dict:
     d = DistortionPair(args.d1, args.d2)
     d2 = d.d2 / c.scale2
     if d.d2 > 0.0 and not 0.0 < d2 < math.inf:
-        raise CliError(f"--d2 {d.d2:g} divided by the variance ratio "
-                       f"--var2/--var1 = {c.scale2:g} {_range_fault(d2)}")
-    rec = verdict(c, canonicalize_distortion(c, d))
-    return {
-        "d1": d.d1, "d2": d.d2,
-        "rd_rate": rec.outer.rd_rate,
-        "capacity_term": rec.outer.capacity_term,
-        "achievable_possible": rec.outer.achievable_possible,
-        "uncoded_d1": rec.uncoded_d1,
-        "uncoded_d2": rec.uncoded_d2 * c.scale2,
-        "vq_d1": rec.vq_d1,
-        "vq_d2": rec.vq_d2 * c.scale2,
-        "vq_r1": rec.vq_r1, "vq_r2": rec.vq_r2,
-        "verdict": rec.verdict,
-    }
+        raise ValueError(f"--d2 {d.d2:g} divided by the variance ratio "
+                         f"--var2/--var1 = {c.scale2:g} {_range_fault(d2)}")
+    doc = dataclasses.asdict(verdict(c, DistortionPair(d.d1, d2)))
+    doc.update(doc.pop("outer"), d1=d.d1, d2=d.d2)
+    return _in_instance_units(c, doc, "uncoded_d2", "vq_d2")
 
 
 def _uncoded(args, c) -> dict:
-    res = uncoded_distortions(c)
+    doc = _in_instance_units(c, dataclasses.asdict(uncoded_distortions(c)), "d2")
+    # in the instance's units sender 2 sends sign(rho) * gain2 * s2, and
+    # lmmse2 * y estimates s2
+    root = math.sqrt(c.scale2)
+    doc["gain2"] /= root
+    doc["lmmse2"] *= -root if args.rho < 0 else root
     thr = optimality_threshold(c.rho)
-    symmetric = c.p1 == c.p2
-    return {
-        "d1": res.d1, "d2": res.d2 * c.scale2,
-        "gain1": res.gain1, "gain2": res.gain2,
-        "lmmse1": res.lmmse1, "lmmse2": res.lmmse2,
-        "symmetric_threshold_snr": thr,
-        "at_or_below_threshold": (c.p1 / c.noise_var <= thr) if symmetric else None,
-    }
+    doc.update(symmetric_threshold_snr=thr, at_or_below_threshold=(
+        c.p1 / c.noise_var <= thr if c.p1 == c.p2 else None))
+    return doc
 
 
 def _simulate_uncoded(args, c) -> dict:
-    sim = simulate_uncoded(c, args.trials, args.seed, threads=args.threads)
+    doc = dataclasses.asdict(simulate_uncoded(c, args.trials, args.seed,
+                                              threads=args.threads))
     ana = uncoded_distortions(c)
-    return {
-        "trials": sim.trials, "seed": sim.seed,
-        "d1": sim.d1, "d2": sim.d2 * c.scale2,
-        "power1": sim.power1, "power2": sim.power2,
-        "analytic_d1": ana.d1, "analytic_d2": ana.d2 * c.scale2,
-    }
+    doc.update(analytic_d1=ana.d1, analytic_d2=ana.d2)
+    return _in_instance_units(c, doc, "d2", "analytic_d2")
 
 
 def _vq_bound(args, c) -> dict:
     if (args.r1 is None) != (args.r2 is None):
-        raise CliError("--r1 and --r2 must be given together")
+        raise ValueError("--r1 and --r2 must be given together")
     if args.r1 is not None:
         rates = make_rate_pair(c, args.r1, args.r2)
-        d = vq_distortions(c, rates)
-        return {
-            "mode": "pair",
-            "r1": args.r1, "r2": args.r2,
-            "rho_tilde": rates.rho_tilde,
-            "in_region": in_rate_region(c, rates),
-            "d1": d.d1, "d2": d.d2 * c.scale2,
-            "rate": None,
-        }
+        doc = dataclasses.asdict(vq_distortions(c, rates))
+        doc.update(dataclasses.asdict(rates), mode="pair",
+                   in_region=in_rate_region(c, rates), rate=None)
+        return _in_instance_units(c, doc, "d2")
     if c.p1 != c.p2:
-        raise CliError("symmetric rate solving needs equal powers; "
-                       "pass --r1/--r2 for asymmetric instances")
+        raise ValueError("symmetric rate solving needs equal powers; "
+                         "pass --r1/--r2 for asymmetric instances")
     rate, dist = solve_symmetric_rate(c.sigma_sq, c.rho, c.p1, c.noise_var)
-    return {
-        "mode": "symmetric",
-        "r1": rate, "r2": rate, "rate": rate,
-        "rho_tilde": None, "in_region": None,
-        "d1": dist, "d2": dist * c.scale2,
-    }
+    return {"mode": "symmetric", "r1": rate, "r2": rate, "rate": rate,
+            "rho_tilde": None, "in_region": None, "d1": dist, "d2": dist * c.scale2}
 
 
 def _simulate_vq(args, c) -> dict:
     rates = make_rate_pair(c, args.r1, args.r2)
-    stats = simulate_vq(c, rates, args.blocklength, args.trials,
-                        delta_typ=args.delta_typ, seed=args.seed,
-                        threads=args.threads)
+    doc = dataclasses.asdict(simulate_vq(c, rates, args.blocklength, args.trials,
+                                         delta_typ=args.delta_typ, seed=args.seed,
+                                         threads=args.threads))
     ana = vq_distortions(c, rates)
-    return {
-        "r1": args.r1, "r2": args.r2,
-        "blocklength": stats.blocklength, "trials": stats.trials,
-        "seed": stats.seed, "delta_typ": args.delta_typ,
-        "realized_r1": stats.realized_r1, "realized_r2": stats.realized_r2,
-        "in_region": in_rate_region(c, rates),
-        "empirical_d1": stats.empirical_d1,
-        "empirical_d2": stats.empirical_d2 * c.scale2,
-        "cond_d1": stats.cond_d1,
-        "cond_d2": stats.cond_d2 * c.scale2,
-        "quantizer_mse1": stats.quantizer_mse1,
-        "quantizer_mse2": stats.quantizer_mse2 * c.scale2,
-        "empirical_codeword_corr": stats.empirical_codeword_corr,
-        "decode_error_count": stats.decode_error_count,
-        "fallback_count": stats.fallback_count,
-        "analytic_d1": ana.d1, "analytic_d2": ana.d2 * c.scale2,
-    }
+    doc.update(r1=args.r1, r2=args.r2, delta_typ=args.delta_typ,
+               in_region=in_rate_region(c, rates),
+               analytic_d1=ana.d1, analytic_d2=ana.d2)
+    return _in_instance_units(c, doc, "empirical_d2", "cond_d2", "quantizer_mse2",
+                              "analytic_d2")
 
 
 def _parse_grid(spec: str) -> np.ndarray:
     parts = spec.split(":")
     if len(parts) != 4:
-        raise CliError("--snr-grid expects START:STOP:COUNT:log|lin")
+        raise ValueError("--snr-grid expects START:STOP:COUNT:log|lin")
     try:
         start, stop = float(parts[0]), float(parts[1])
         count = int(parts[2])
     except ValueError:
-        raise CliError(f"bad grid specification {spec!r}")
+        raise ValueError(f"bad grid specification {spec!r}")
     scale = parts[3]
     if count < 1:
-        raise CliError("grid needs at least one point")
+        raise ValueError("grid needs at least one point")
     check_sweep_points(count)
     if not (0 < start < math.inf and 0 < stop < math.inf):
-        raise CliError("power ratios must be positive and finite")
+        raise ValueError("power ratios must be positive and finite")
     if scale == "log":
         return np.geomspace(start, stop, count)
     if scale == "lin":
         return np.linspace(start, stop, count)
-    raise CliError(f"grid scale must be log or lin, got {scale!r}")
+    raise ValueError(f"grid scale must be log or lin, got {scale!r}")
 
 
 def _cmd_sweep(args) -> int:
     if (args.snr_grid is None) == (not args.boundary):
-        raise CliError("choose exactly one of --snr-grid or --boundary")
+        raise ValueError("choose exactly one of --snr-grid or --boundary")
     if args.boundary:
         if args.convexify:
-            raise CliError("--convexify applies only to --snr-grid sweeps")
+            raise ValueError("--convexify applies only to --snr-grid sweeps")
         c = _canonical(_instance_from_args(args))
         if TRACE_D1_START * c.sigma_sq == 0.0:
             flag = "--sigma2" if args.var1 is None else "--var1"
-            raise CliError(f"the boundary trace's smallest d1, {TRACE_D1_START:g} * "
-                           f"{flag} = {TRACE_D1_START:g} * {c.sigma_sq:g}, underflows to 0")
+            raise ValueError(f"the boundary trace's smallest d1, {TRACE_D1_START:g} * "
+                             f"{flag} = {TRACE_D1_START:g} * {c.sigma_sq:g}, "
+                             "underflows to 0")
         points = trace_region_boundary(c, resolution=args.resolution)
-        rows = [(p.d1, p.outer_d2 * c.scale2,
-                 p.uncoded_d2 * c.scale2, p.vq_d2 * c.scale2) for p in points]
+        # every column after d1 is a second-component distortion
+        rows = [(p.d1, *(v * c.scale2 for v in p[1:])) for p in points]
         _emit_table(args, BoundaryPoint._fields, rows)
         return 0
     sigma_sq = 1.0 if args.sigma2 is None else args.sigma2
     if args.var1 is not None or args.var2 is not None:
-        raise CliError("power sweeps are symmetric; use --sigma2")
+        raise ValueError("power sweeps are symmetric; use --sigma2")
     if any(v is not None for v in (args.p, args.p1, args.p2, args.noise)):
-        raise CliError("power sweeps take their powers from --snr-grid at "
-                       "noise variance 1; drop --p/--p1/--p2/--noise")
+        raise ValueError("power sweeps take their powers from --snr-grid at "
+                         "noise variance 1; drop --p/--p1/--p2/--noise")
     if not 0 < sigma_sq < math.inf:
-        raise CliError("source variance must be positive and finite")
+        raise ValueError("source variance must be positive and finite")
     rows = snr_sweep(sigma_sq, abs(args.rho), _parse_grid(args.snr_grid))
     if args.convexify:
         rows = convexify(rows)
@@ -307,8 +273,8 @@ def _cmd_verify(args) -> int:
         try:
             criteria = [int(tok) for tok in args.criteria.split(",") if tok]
         except ValueError:
-            raise CliError(f"--criteria expects comma-separated integers, "
-                           f"got {args.criteria!r}")
+            raise ValueError(f"--criteria expects comma-separated integers, "
+                             f"got {args.criteria!r}")
     results = run_all(seed=args.seed, threads=args.threads, criteria=criteria)
     _emit(args, format_report(results, args.seed))
     if args.timings:

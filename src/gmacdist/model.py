@@ -175,11 +175,6 @@ def canonicalize(inst: ProblemInstance) -> CanonicalInstance:
     )
 
 
-def canonicalize_distortion(c: CanonicalInstance, d: DistortionPair) -> DistortionPair:
-    """Map a distortion pair from original units into canonical units."""
-    return DistortionPair(d.d1, d.d2 / c.scale2)
-
-
 def decanonicalize_distortion(c: CanonicalInstance, d: DistortionPair) -> DistortionPair:
     """Map a canonical distortion pair back to original units."""
     return DistortionPair(d.d1, d.d2 * c.scale2)

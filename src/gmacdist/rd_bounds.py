@@ -29,14 +29,6 @@ class RdCaseTag(str, Enum):
 
 
 @dataclass(frozen=True)
-class RdCase:
-    """Classification of a distortion pair after ordering d1 <= d2."""
-
-    tag: RdCaseTag
-    canonical_pair: tuple
-
-
-@dataclass(frozen=True)
 class OuterBoundResult:
     rd_rate: float
     capacity_term: float
@@ -55,13 +47,14 @@ def _plain_scale(s2: float, a: float) -> bool:
     return s2 <= _PLAIN_SCALE and a >= 1.0 / _PLAIN_SCALE
 
 
-def classify_case(c: CanonicalInstance, d: DistortionPair) -> RdCase:
+def classify_case(c: CanonicalInstance, d: DistortionPair) -> tuple:
     """Place a distortion pair in one of the three rate-distortion regimes.
 
     The pair is ordered (smaller target first) before classification, which
     makes the regimes cover all of (0, sigma_sq]^2; values above sigma_sq are
     clamped to sigma_sq first.  Boundary ties resolve to the intermediate
-    regime (the rate formulas agree there).
+    regime (the rate formulas agree there).  Returns (tag, a, b), the
+    regime and the clamped targets a <= b.
     """
     s2 = c.sigma_sq
     rho = c.rho
@@ -71,7 +64,7 @@ def classify_case(c: CanonicalInstance, d: DistortionPair) -> RdCase:
     b = min(max(d.d1, d.d2), s2)
     if a >= s2:
         # both targets at full variance, zero rate
-        return RdCase(RdCaseTag.INTERMEDIATE, (a, b))
+        return RdCaseTag.INTERMEDIATE, a, b
     if _plain_scale(s2, a):
         thr_low = (s2 * (1.0 - rho * rho) - a) * s2 / (s2 - a)
         thr_high = s2 * (1.0 - rho * rho) + rho * rho * a
@@ -86,7 +79,7 @@ def classify_case(c: CanonicalInstance, d: DistortionPair) -> RdCase:
         tag = RdCaseTag.ONE_INACTIVE
     else:
         tag = RdCaseTag.INTERMEDIATE
-    return RdCase(tag, (a, b))
+    return tag, a, b
 
 
 def rd_rate(c: CanonicalInstance, d: DistortionPair) -> float:
@@ -98,13 +91,12 @@ def rd_rate(c: CanonicalInstance, d: DistortionPair) -> float:
     """
     s2 = c.sigma_sq
     rho = c.rho
-    case = classify_case(c, d)
-    a, b = case.canonical_pair
+    tag, a, b = classify_case(c, d)
     if not _plain_scale(s2, a):
-        return _scaled_rate(case.tag, rho, s2, a, b)
-    if case.tag is RdCaseTag.BOTH_SMALL:
+        return _scaled_rate(tag, rho, s2, a, b)
+    if tag is RdCaseTag.BOTH_SMALL:
         rate = 0.5 * math.log2(s2 * s2 * (1.0 - rho * rho) / (a * b))
-    elif case.tag is RdCaseTag.ONE_INACTIVE:
+    elif tag is RdCaseTag.ONE_INACTIVE:
         rate = 0.5 * math.log2(s2 / a)
     else:
         gap = rho * s2 - math.sqrt((s2 - a) * (s2 - b))
@@ -299,8 +291,7 @@ def _half_log2_ratio(lam: float, theta: float) -> float:
     return 0.5 * float(np.log2(q))
 
 
-def waterfill_oracle_rates(c: CanonicalInstance, d1, d2,
-                           max_iter: int = 200) -> np.ndarray:
+def waterfill_oracle_rates(c: CanonicalInstance, d1, d2) -> np.ndarray:
     """Minimal description rates via scaling plus reverse waterfilling, for
     a batch of targets (d1[k], d2[k]).
 
@@ -310,7 +301,7 @@ def waterfill_oracle_rates(c: CanonicalInstance, d1, d2,
     golden-section search on Python floats, stopping once its bracket is
     narrower than 1e-12.  Every entry is bitwise what a batch of that
     target alone returns.  Raises ConvergenceError if some bracket is still
-    wider than 1e-6 after max_iter steps.
+    wider than 1e-6 after _MAX_ITER steps.
     """
     d1 = np.asarray(d1, dtype=float).ravel()
     d2 = np.asarray(d2, dtype=float).ravel()
@@ -319,13 +310,16 @@ def waterfill_oracle_rates(c: CanonicalInstance, d1, d2,
     d1 = np.minimum(d1, c.sigma_sq)
     d2 = np.minimum(d2, c.sigma_sq)
     with np.errstate(all="ignore"):
-        return _golden_section(c, d1, d2, max_iter)
+        return _golden_section(c, d1, d2)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 
+# golden-section steps per target before the search gives up
+_MAX_ITER = 200
 
-def _golden_section(c, d1, d2, max_iter):
+
+def _golden_section(c, d1, d2):
     grid = np.linspace(_LOGC_LO, _LOGC_HI, 257)
     rates = _component_rates(c.sigma_sq, c.rho, d1[:, None], d2[:, None],
                              np.exp(grid))
@@ -334,12 +328,12 @@ def _golden_section(c, d1, d2, max_iter):
     lo = grid[np.maximum(i - 1, 0)]
     hi = grid[np.minimum(i + 1, len(grid) - 1)]
     return np.array([
-        _refine(c.sigma_sq, c.rho, *args, max_iter)
+        _refine(c.sigma_sq, c.rho, *args)
         for args in zip(d1.tolist(), d2.tolist(), lo.tolist(), hi.tolist(),
                         best.tolist())], dtype=float)
 
 
-def _refine(sigma_sq, rho, t1, t2, lo, hi, best, max_iter):
+def _refine(sigma_sq, rho, t1, t2, lo, hi, best):
     """Golden-section refinement of one target's scan cell [lo, hi]."""
     def f(logc):
         return _component_rate(sigma_sq, rho, t1, t2, float(np.exp(logc)))
@@ -348,7 +342,7 @@ def _refine(sigma_sq, rho, t1, t2, lo, hi, best, max_iter):
     x2 = lo + _INVPHI * (hi - lo)
     f1, f2 = f(x1), f(x2)
     span = hi - lo
-    for _ in range(max_iter):
+    for _ in range(_MAX_ITER):
         if span < 1e-12:
             break
         # keep the side of the lower probe; a NaN probe compares false and
@@ -372,8 +366,7 @@ def _refine(sigma_sq, rho, t1, t2, lo, hi, best, max_iter):
     return f2 if f2 < out else out
 
 
-def waterfill_oracle_rate(c: CanonicalInstance, d: DistortionPair,
-                          max_iter: int = 200) -> float:
+def waterfill_oracle_rate(c: CanonicalInstance, d: DistortionPair) -> float:
     """Minimal description rate of one target pair: waterfill_oracle_rates
     on a batch of one."""
-    return float(waterfill_oracle_rates(c, d.d1, d.d2, max_iter)[0])
+    return float(waterfill_oracle_rates(c, d.d1, d.d2)[0])

@@ -19,7 +19,6 @@ from .rd_bounds import (
     OuterBoundResult,
     capacity_term,
     check_necessary_condition,
-    rd_rate,
     symmetric_outer_bound,
 )
 from .uncoded import optimality_threshold, symmetric_uncoded_bound, uncoded_distortions
@@ -308,7 +307,7 @@ def _min_outer_d2(c: CanonicalInstance, d1: float, cap: float) -> float:
     for d2 in sorted(c.sigma_sq * y for y in ys if 0.0 < y <= 1.0):
         if d2 < sys.float_info.min:  # the product may have rounded below the root
             d2 = math.nextafter(d2, math.inf)
-        if cap >= rd_rate(c, DistortionPair(d1, d2)) - 1e-12:
+        if check_necessary_condition(c, DistortionPair(d1, d2)).achievable_possible:
             return d2
     return math.nan
 

@@ -200,11 +200,8 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
         _require_decodable(rt)
         return 0.25 * _log2_rhs(p, noise_var, rt) - r
 
-    if rho < 1.0:
-        hi = 0.25 * _log2_rhs(p, noise_var, rho) + 1.0
-        hi = max(hi, 1.0)
-    else:
-        hi = 1.0
+    # the quotient under the log2 is at least 1, so hi >= 1
+    hi = 0.25 * _log2_rhs(p, noise_var, rho) + 1.0 if rho < 1.0 else 1.0
     for _ in range(200):
         if g(hi) < 0:
             break

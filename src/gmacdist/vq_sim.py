@@ -288,9 +288,10 @@ def decode(cb1: Codebook, cb2: Codebook, a1: np.ndarray, a2: np.ndarray,
     lies within delta_typ of rho_t and returns the pair maximizing the
     normalized inner product of alpha1*u1 + alpha2*u2 with y.  If the window
     is empty the search is repeated over all pairs and the result is
-    flagged as a fallback.  Raises ValueError when no pair has a number for
-    its objective, which happens only when the channel correlations
-    overflow.
+    flagged as a fallback.  Raises ValueError when the objectives overflow:
+    when the window's smallest squared norm of alpha1*u1 + alpha2*u2 does,
+    so that every objective in the window is 0 or NaN and nothing prunes
+    the scan, or when no pair has a number for its objective.
     """
     if cb1.size == 1 and cb2.size == 1:
         return DecodeResult(0, 0, False)
@@ -301,14 +302,14 @@ def decode(cb1: Codebook, cb2: Codebook, a1: np.ndarray, a2: np.ndarray,
     glo = max((rho_t - delta_typ) * rr, -rr)
     ghi = min((rho_t + delta_typ) * rr, rr)
 
-    best = _decode_pruned(cb1.words, cb2.words, a1, a2, b, two_a, glo, ghi)
-    if best is not None:
-        return DecodeResult(best[1], best[2], False)
-    best = _decode_pruned(cb1.words, cb2.words, a1, a2, b, two_a, -rr, rr)
-    if best is None:
-        raise ValueError("every decoding objective is NaN: the channel "
-                         "correlations overflow at this power")
-    return DecodeResult(best[1], best[2], True)
+    if b + two_a * glo < math.inf:
+        best = _decode_pruned(cb1.words, cb2.words, a1, a2, b, two_a, glo, ghi)
+        if best is not None:
+            return DecodeResult(best[1], best[2], False)
+        best = _decode_pruned(cb1.words, cb2.words, a1, a2, b, two_a, -rr, rr)
+        if best is not None:
+            return DecodeResult(best[1], best[2], True)
+    raise ValueError("the decoding objectives overflow at this power")
 
 
 def reconstruction_coefficients(rho: float, r1: float, r2: float, sigma_sq: float):

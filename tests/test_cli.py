@@ -47,6 +47,30 @@ def test_bounds_matches_closed_form(capsys):
     assert doc["verdict"] == "UNCODED_ACHIEVES"
 
 
+@pytest.mark.parametrize("v1, v2, rho, p1, p2, noise", [
+    (1.5, 0.4, -0.7, 3.0, 0.8, 0.5),   # the uncoded-asym.json instance
+    (1.0, 9.0, -0.3, 2.0, 3.0, 1.0),
+])
+def test_uncoded_gains_and_weights_in_the_instance_units(capsys, v1, v2, rho, p1, p2, noise):
+    # the physical model: sender i sends sign_i * gain_i * s_i at power p_i,
+    # sign_2 = sign(rho), and lmmse_i * y is the linear MMSE estimate of s_i
+    code, out, _ = run_cli(capsys, "uncoded", "--var1", str(v1), "--var2", str(v2),
+                           "--rho", str(rho), "--p1", str(p1), "--p2", str(p2),
+                           "--noise", str(noise))
+    assert code == 0
+    doc = json.loads(out)
+    g1, g2 = doc["gain1"], math.copysign(doc["gain2"], rho)
+    assert g1 * g1 * v1 == pytest.approx(p1, rel=1e-12)
+    assert g2 * g2 * v2 == pytest.approx(p2, rel=1e-12)
+    cov = rho * math.sqrt(v1 * v2)
+    e_yy = g1 * g1 * v1 + g2 * g2 * v2 + 2.0 * g1 * g2 * cov + noise
+    e_s1y, e_s2y = g1 * v1 + g2 * cov, g1 * cov + g2 * v2
+    assert doc["lmmse1"] == pytest.approx(e_s1y / e_yy, rel=1e-12)
+    assert doc["lmmse2"] == pytest.approx(e_s2y / e_yy, rel=1e-12)
+    assert doc["d1"] == pytest.approx(v1 - e_s1y * e_s1y / e_yy, rel=1e-12)
+    assert doc["d2"] == pytest.approx(v2 - e_s2y * e_s2y / e_yy, rel=1e-12)
+
+
 def test_uncoded_output(capsys):
     code, out, _ = run_cli(capsys, "uncoded", *SYM)
     assert code == 0
@@ -248,10 +272,13 @@ def test_simulate_vq_at_blocklength_1(capsys, flags):
     assert doc["blocklength"] == 1 and doc["trials"] == 200
 
 
-# near the top of the power range the channel correlations overflow and
-# every decoding objective is NaN, even over the fallback's full window
+# near the top of the power range the channel correlations overflow: the
+# window's smallest squared norm overflows, so every objective in it is 0 or
+# NaN (1e307 at n = 8), or every objective is NaN, even over the fallback's
+# full window (1e308)
 @pytest.mark.parametrize("p, n, threads", [
-    ("5e307", "8", "1"), ("1e308", "1", "1"), ("1e308", "8", "1"), ("1e308", "8", "2"),
+    ("1e307", "8", "1"), ("5e307", "8", "1"), ("1e308", "1", "1"), ("1e308", "8", "1"),
+    ("1e308", "8", "2"),
 ])
 def test_simulate_vq_with_overflowing_channel_exits_1(capsys, p, n, threads):
     with warnings.catch_warnings():
@@ -263,14 +290,28 @@ def test_simulate_vq_with_overflowing_channel_exits_1(capsys, p, n, threads):
     assert err.startswith("error: ") and err.count("\n") == 1 and "overflow" in err
 
 
-@pytest.mark.parametrize("p", ["1e306", "1e307"])
-def test_simulate_vq_below_the_overflow_prints(capsys, p):
+# 4e306 at n = 16 keeps the window's smallest squared norm finite
+@pytest.mark.parametrize("p, n", [("1e306", "8"), ("4e306", "16")])
+def test_simulate_vq_below_the_overflow_prints(capsys, p, n):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "simulate-vq", "--rho", "0.5", "--p", p,
-                                 "--r1", "1", "--r2", "1", "-n", "8", "--trials", "5")
+                                 "--r1", "1", "--r2", "1", "-n", n, "--trials", "5")
     assert (code, err) == (0, "")
     check_schema(json.loads(out), "simulate-vq")
+
+
+@pytest.mark.parametrize("p, trials", [("5e306", "1"), ("1e307", "5")])
+def test_simulate_vq_with_an_overflowing_window_exits_promptly(p, trials):
+    # the sum's squared norm in the window overflows although b = n (P1 + P2)
+    # is finite at 5e306; with every objective 0 or NaN nothing pruned the
+    # scan, which scored all 2^32 pairs of each trial
+    proc = subprocess.run(
+        [sys.executable, "-m", "gmacdist", "simulate-vq", "--rho", "0.5", "--p", p,
+         "--r1", "1", "--r2", "1", "-n", "16", "--trials", trials],
+        capture_output=True, text=True, timeout=30)
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr == "error: the decoding objectives overflow at this power\n"
 
 
 def test_vq_bound_at_an_overflowing_rate_is_quiet(capsys):
@@ -405,6 +446,9 @@ def test_sweep_flag_validation(capsys):
     assert "exactly one" in err
 
     assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid", "1:2:3")[0] == 1
+    for grid, line in (("1:2:x:log", "error: bad grid specification '1:2:x:log'\n"),
+                       ("1:2:0:log", "error: grid needs at least one point\n")):
+        assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid", grid) == (1, "", line)
     assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid=-1:2:3:log")[0] == 1
     assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid", "1:2:3:cubic")[0] == 1
     assert run_cli(capsys, "sweep", "--rho", "0.5", "--snr-grid", "1:inf:3:log")[0] == 1

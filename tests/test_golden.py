@@ -12,6 +12,7 @@ them afresh from the current source tree:
 """
 import contextlib
 import io
+import json
 import os
 import subprocess
 import sys
@@ -22,6 +23,7 @@ import pytest
 import gmacdist.cli as cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SCHEMAS = GOLDEN.parent.parent / "docs" / "schemas"
 
 SYM = ("--sigma2", "1", "--rho", "0.5", "--p", "2", "--noise", "3")
 VQ = ("--sigma2", "1", "--rho", "0.8", "--p", "10", "--noise", "1")
@@ -124,6 +126,16 @@ def test_vq_simulation_document_matches_golden_under_one_blas_thread(name, threa
 def test_verify_simulation_criteria_match_golden():
     name, argv = VERIFY_CASE
     assert render(argv) == (GOLDEN / name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("*.json")))
+def test_json_golden_matches_its_schema(name):
+    # every schema refuses fields it does not name, so a record field that
+    # leaks into a document built from that record fails here
+    jsonschema = pytest.importorskip("jsonschema")
+    schema, = [p for p in SCHEMAS.glob("*.json") if name.startswith(p.stem)]
+    jsonschema.validate(json.loads((GOLDEN / name).read_text()),
+                        json.loads(schema.read_text()))
 
 
 if __name__ == "__main__":

@@ -17,7 +17,6 @@ from gmacdist.model import (
     ProblemInstance,
     TrialCountError,
     canonicalize,
-    canonicalize_distortion,
     check_threads,
     check_trial_bytes,
     decanonicalize_distortion,
@@ -64,8 +63,6 @@ def test_canonicalize_identity():
     c = canonicalize(ProblemInstance(1.0, 1.0, 0.5, 2.0, 2.0, 3.0))
     assert (c.sigma_sq, c.rho, c.p1, c.p2, c.noise_var) == (1.0, 0.5, 2.0, 2.0, 3.0)
     assert c.scale2 == 1.0
-    d = DistortionPair(0.3, 0.7)
-    assert canonicalize_distortion(c, d) == d
 
 
 def test_canonicalize_rescales_and_flips():
@@ -99,7 +96,7 @@ def test_decanonicalize_multiplies_by_recorded_scale():
 def test_distortion_scaling_round_trip():
     c = canonicalize(ProblemInstance(2.0, 5.0, 0.3, 1.0, 4.0, 1.5))
     d = DistortionPair(0.7, 1.9)
-    back = decanonicalize_distortion(c, canonicalize_distortion(c, d))
+    back = decanonicalize_distortion(c, DistortionPair(d.d1, d.d2 / c.scale2))
     assert back.d1 == pytest.approx(d.d1, rel=1e-12)
     assert back.d2 == pytest.approx(d.d2, rel=1e-12)
 
@@ -219,6 +216,11 @@ def test_row_dots_equals_per_row_matmul_under_one_blas_thread():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_canonical_instance_refuses_a_zero_scale():
+    with pytest.raises(ValueError, match="scale factor must be positive"):
+        CanonicalInstance(1.0, 0.5, 1.0, 1.0, 1.0, scale2=0.0)
 
 
 def test_sampling_rejects_empty_batch():

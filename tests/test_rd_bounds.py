@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from gmacdist import rd_bounds
 from gmacdist.model import CanonicalInstance, DistortionPair, symmetric_instance
 from gmacdist.rd_bounds import (
     ConvergenceError,
@@ -26,23 +27,20 @@ INST = symmetric_instance(1.0, 0.5, 2.0, 3.0)
 
 
 def test_classify_both_small():
-    case = classify_case(INST, DistortionPair(0.3, 0.3))
-    assert case.tag is RdCaseTag.BOTH_SMALL
-    assert case.canonical_pair == (0.3, 0.3)
+    assert classify_case(INST, DistortionPair(0.3, 0.3)) == (RdCaseTag.BOTH_SMALL, 0.3, 0.3)
     # an already ordered pair keeps its order
-    assert classify_case(INST, DistortionPair(0.25, 0.3)).canonical_pair == (0.25, 0.3)
+    assert classify_case(INST, DistortionPair(0.25, 0.3))[1:] == (0.25, 0.3)
 
 
 def test_classify_one_inactive_orders_pair():
-    case = classify_case(INST, DistortionPair(0.9, 0.1))
-    assert case.tag is RdCaseTag.ONE_INACTIVE
-    assert case.canonical_pair == (0.1, 0.9)
+    assert classify_case(INST, DistortionPair(0.9, 0.1)) == (
+        RdCaseTag.ONE_INACTIVE, 0.1, 0.9)
 
 
 def test_classify_zero_correlation_is_always_both_small():
     c = symmetric_instance(1.0, 0.0, 1.0, 1.0)
     for d1, d2 in [(0.1, 0.9), (0.5, 0.5), (0.99, 0.2)]:
-        assert classify_case(c, DistortionPair(d1, d2)).tag is RdCaseTag.BOTH_SMALL
+        assert classify_case(c, DistortionPair(d1, d2))[0] is RdCaseTag.BOTH_SMALL
 
 
 def test_classify_rejects_nonpositive():
@@ -88,8 +86,8 @@ def test_rate_continuous_across_case_boundaries():
         below = rd_rate(c, DistortionPair(a, b * (1.0 - 1e-9)))
         above = rd_rate(c, DistortionPair(a, b * (1.0 + 1e-9)))
         assert below == pytest.approx(above, abs=1e-7)
-        tags = {classify_case(c, DistortionPair(a, b * (1.0 - 1e-9))).tag,
-                classify_case(c, DistortionPair(a, b * (1.0 + 1e-9))).tag}
+        tags = {classify_case(c, DistortionPair(a, b * (1.0 - 1e-9)))[0],
+                classify_case(c, DistortionPair(a, b * (1.0 + 1e-9)))[0]}
         assert len(tags) == 2  # the probe really straddles the boundary
 
 
@@ -181,12 +179,14 @@ def test_batched_oracle_matches_single_targets_bitwise():
         assert batch.tolist() == single
 
 
-def test_batched_oracle_validation_and_convergence():
+def test_batched_oracle_validation_and_convergence(monkeypatch):
     c = symmetric_instance(1.0, 0.5, 1.0, 1.0)
     with pytest.raises(ValueError):
         waterfill_oracle_rates(c, [0.5, 0.0], [0.5, 0.5])
-    with pytest.raises(ConvergenceError):
-        waterfill_oracle_rates(c, [0.3, 0.5], [0.4, 0.5], max_iter=5)
+    with monkeypatch.context() as m:
+        m.setattr(rd_bounds, "_MAX_ITER", 5)
+        with pytest.raises(ConvergenceError):
+            waterfill_oracle_rates(c, [0.3, 0.5], [0.4, 0.5])
     assert waterfill_oracle_rates(c, [], []).shape == (0,)
 
 
@@ -215,10 +215,12 @@ def test_scalar_component_rate_matches_array_form_bitwise(sigma_sq, rho):
             assert _bits(got) == _bits(want), (d1, d2)
 
 
-def test_single_target_oracle_convergence_error():
+def test_single_target_oracle_convergence_error(monkeypatch):
     c = symmetric_instance(1.0, 0.5, 1.0, 1.0)
-    with pytest.raises(ConvergenceError):
-        waterfill_oracle_rate(c, DistortionPair(0.3, 0.4), max_iter=5)
+    with monkeypatch.context() as m:
+        m.setattr(rd_bounds, "_MAX_ITER", 5)
+        with pytest.raises(ConvergenceError):
+            waterfill_oracle_rate(c, DistortionPair(0.3, 0.4))
     assert waterfill_oracle_rate(c, DistortionPair(0.3, 0.4)) == pytest.approx(
         rd_rate(c, DistortionPair(0.3, 0.4)), abs=1e-6)
 
@@ -277,8 +279,18 @@ def _mp_rate(sigma_sq, rho, d1, d2):
 def test_rate_at_extreme_scales_matches_mpmath(sigma_sq, rho, d1, d2, tag):
     c = symmetric_instance(sigma_sq, rho, 1.0, 1.0)
     d = DistortionPair(d1, d2)
-    assert classify_case(c, d).tag is tag
+    assert classify_case(c, d)[0] is tag
     assert rd_rate(c, d) == pytest.approx(_mp_rate(sigma_sq, rho, d1, d2), rel=1e-12)
+
+
+def test_rate_of_fully_correlated_sources_at_an_extreme_scale():
+    # sigma_sq = 1e300 takes the scaled closed forms, and at rho = 1 the
+    # INTERMEDIATE form would take log2(0): the rate is the active
+    # component's alone
+    c = symmetric_instance(1e300, 1.0, 1.0, 1.0)
+    d = DistortionPair(0.3e300, 0.3e300)
+    assert classify_case(c, d)[0] is RdCaseTag.INTERMEDIATE
+    assert rd_rate(c, d) == pytest.approx(-0.5 * math.log2(0.3), rel=1e-12)
 
 
 def test_rate_at_extreme_scales_reference_values():

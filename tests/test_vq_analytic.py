@@ -172,6 +172,21 @@ def test_full_residual_correlation_is_rejected():
     assert inside.tolist() == [[True, False], [False, False]]
 
 
+def test_nonfinite_rates_and_correlations_outside_0_1_are_refused():
+    c = symmetric_instance(1.0, 0.5, 2.0, 1.0)
+    for r1, r2 in ((math.inf, 0.5), (0.5, math.nan)):
+        with pytest.raises(ValueError, match="rates must be finite"):
+            vq_distortions(c, make_rate_pair(c, r1, r2))
+    with pytest.raises(ValueError, match=r"correlation must lie in \[0, 1\]"):
+        rho_tilde(1.5, 0.5, 0.5)
+    with pytest.raises(ValueError, match=r"correlation must lie in \[0, 1\]"):
+        high_snr_asymptote(1.0, 1.5)
+
+
+def test_symmetric_solve_at_zero_power_keeps_the_full_variance():
+    assert solve_symmetric_rate(1.0, 0.5, 0.0, 1.0) == (0.0, 1.0)
+
+
 # Scalar references.  reference_grid evaluates each cell on Python floats:
 # libm's pow for the shares, and for the region limits the log2 that
 # vq_analytic takes (numpy's, or numpy's moved by the log2_off fixture), as

@@ -210,6 +210,11 @@ def test_codebook_refuses_negative_or_nonfinite_rate(rate):
         generate_codebook(8, rate, 1.0, 0)
 
 
+def test_codebook_refuses_an_empty_blocklength():
+    with pytest.raises(ValueError, match="blocklength must be at least 1"):
+        generate_codebook(0, 0.5, 1.0, 0)
+
+
 def test_codebook_byte_cap_rejects_before_allocating():
     # 22 bits is within the bit cap, but 2^22 words of 64 doubles is 2 GiB
     tracemalloc.start()
