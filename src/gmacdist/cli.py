@@ -169,6 +169,10 @@ def _uncoded(args, c) -> dict:
     root = math.sqrt(c.scale2)
     doc["gain2"] /= root
     doc["lmmse2"] *= -root if args.rho < 0 else root
+    for k in ("gain2", "lmmse2"):
+        if not math.isfinite(doc[k]):
+            raise ValueError(f"{k} in the units of --var2 overflows "
+                             f"(--var2/--var1 = {c.scale2:g})")
     thr = optimality_threshold(c.rho)
     doc.update(symmetric_threshold_snr=thr, at_or_below_threshold=(
         c.p1 / c.noise_var <= thr if c.p1 == c.p2 else None))

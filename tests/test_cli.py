@@ -71,6 +71,19 @@ def test_uncoded_gains_and_weights_in_the_instance_units(capsys, v1, v2, rho, p1
     assert doc["d2"] == pytest.approx(v2 - e_s2y * e_s2y / e_yy, rel=1e-12)
 
 
+@pytest.mark.parametrize("key, flags", [
+    # sqrt(p2 / var2) = 1e309
+    ("gain2", ("--var1", "1e-3", "--var2", "1e-310", "--p", "1e308")),
+    # about sqrt(var2) sqrt(p2) / (p1 + p2 + noise) = 3e313
+    ("lmmse2", ("--var1", "1", "--var2", "1e308", "--p", "1e-320", "--noise", "1e-320")),
+])
+def test_uncoded_overflowing_unit_conversion_exits_1(capsys, key, flags):
+    code, out, err = run_cli(capsys, "uncoded", "--rho", "0.5", *flags)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {key} in the units of --var2 overflows")
+    assert err.count("\n") == 1
+
+
 def test_uncoded_output(capsys):
     code, out, _ = run_cli(capsys, "uncoded", *SYM)
     assert code == 0
