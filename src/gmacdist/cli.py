@@ -113,6 +113,18 @@ def _emit_json(args, obj):
     _emit(args, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
+# distortions that the documents' schemas require to be positive
+_DISTORTIONS = frozenset(("d1", "d2", "analytic_d1", "analytic_d2", "uncoded_d1",
+                          "uncoded_d2", "vq_d1", "vq_d2", "outer_d", "uncoded_d", "vq_d",
+                          "outer_d2"))
+
+
+def _refuse_underflow(args, docs):
+    """Refuse documents that would print a distortion which underflowed to 0."""
+    for k in (k for doc in docs for k, v in doc.items() if k in _DISTORTIONS and v == 0.0):
+        raise ValueError(f"{k} underflows to 0 at {args.flags}")
+
+
 def _fmt(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
@@ -122,8 +134,10 @@ def _fmt(v) -> str:
 
 
 def _emit_table(args, columns, rows):
+    docs = [dict(zip(columns, r)) for r in rows]
+    _refuse_underflow(args, docs)
     if args.format == "json":
-        _emit_json(args, [dict(zip(columns, r)) for r in rows])
+        _emit_json(args, docs)
         return
     lines = [",".join(columns)]
     lines.extend(",".join(_fmt(v) for v in r) for r in rows)
@@ -138,6 +152,7 @@ def _instance_command(answer):
         inst = _instance_from_args(args)
         out = dataclasses.asdict(inst)
         out.update(answer(args, _canonical(inst)))
+        _refuse_underflow(args, [out])
         _emit_json(args, out)
         return 0
     return handler
@@ -383,7 +398,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         seed = _default_seed()
+        argv = sys.argv[1:] if argv is None else list(argv)
         args = build_parser().parse_args(argv)
+        args.flags = " ".join(argv[1:])  # the options after the subcommand
         if getattr(args, "seed", 0) is None:
             args.seed = seed
         return args.handler(args)

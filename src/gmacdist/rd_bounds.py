@@ -10,6 +10,7 @@ same values and serves as a cross-check oracle in the tests.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import Enum
 
@@ -162,14 +163,18 @@ def symmetric_outer_bound(sigma_sq: float, rho: float, p: float, noise_var: floa
     symmetric_instance(sigma_sq, rho, p, noise_var)  # checks the arguments
     denom = 2.0 * p * (1.0 + rho) + noise_var
     linear = rho == 1.0 or p * (1.0 - rho * rho) <= rho * noise_var
+    b = (1.0 - rho) * (1.0 + rho)  # 1 - rho^2 without cancellation
     if denom == math.inf:  # 2p overflows: divide p out of the denominator
         scaled = 2.0 * (1.0 + rho) + noise_var / p
         if linear:
             return sigma_sq * (1.0 - rho * rho + noise_var / p) / scaled
-        return sigma_sq * math.sqrt((1.0 - rho * rho) * noise_var / scaled) / math.sqrt(p)
+        return sigma_sq * math.sqrt(b * noise_var / scaled) / math.sqrt(p)
     if linear:
         return sigma_sq * (p * (1.0 - rho * rho) + noise_var) / denom
-    return sigma_sq * math.sqrt((1.0 - rho * rho) * noise_var / denom)
+    x = b * noise_var / denom
+    if x < sys.float_info.min:  # the quotient is subnormal: take its root in parts
+        return sigma_sq * math.sqrt(b) * math.sqrt(noise_var / denom)
+    return sigma_sq * math.sqrt(x)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ Each sender quantizes its source at some rate and transmits the scaled
 codeword.  Quantization shrinks the usable correlation between the two
 transmitted words to rho_tilde; the decoder exploits what remains, which
 yields a rate region and closed-form distortions.  The best symmetric
-operating point is a fixed-point equation solved here by bisection.
+operating point is a fixed-point equation solved here by Newton's method.
 """
 from __future__ import annotations
 
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import CanonicalInstance, DistortionPair, symmetric_instance
-from .rd_bounds import ConvergenceError
 
 _REGION_TOL = 1e-12
 
@@ -154,38 +153,28 @@ def distortion_grid(c: CanonicalInstance, r1: np.ndarray, r2: np.ndarray):
     return inside, d1, d2
 
 
-def _log2_rhs(p: float, noise_var: float, rt: float) -> float:
-    """log2 of the symmetric rate ceiling's argument num / den, taken as
-    log2(num) - log2(den) where that quotient overflows, and log2(num) as
-    1 + log2(p) + log2(1 + rt + noise_var / 2p) where num itself does."""
-    num = 2.0 * p * (1.0 + rt) + noise_var
-    den = noise_var * (1.0 - rt * rt)
-    q = num / den
-    if q == math.inf and den > 0.0:
-        if num == math.inf:
-            return (1.0 + math.log2(p) + math.log2(1.0 + rt + noise_var / p / 2.0)
-                    - math.log2(den))
-        return math.log2(num) - math.log2(den)
-    return math.log2(q)
-
-
 def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float):
     """Largest symmetric rate the decoder supports, and its distortion.
 
-    The ceiling on the common rate depends on the rate itself through the
-    residual correlation, so the operating point is the fixed point of
-    r = rhs(r).  With q = 2^-2r and s = p / noise_var, raising 2 to 4r turns
-    it into F(q) = -2 s rho q^3 + (2 s (1 + rho) + 1 + rho^2) q^2
-    - 2 rho^2 q - (1 - rho^2) = 0, and g = rhs - r is positive exactly where
-    F(q) is.  F(0) < 0 < 2s = F(1) and F has at most two positive roots
-    (Descartes), so for rho < 1 it has one root in (0, 1); at rho = 1,
-    F = q h(q) and h has one root there.  So g changes sign once.  The
-    upper end hi, where g < 0, is found by doubling; the sign change is
-    located among the 1024 equal cells of [0, hi] by bisecting the cell
-    index, then bisected inside its cell to a width of 1e-12, in at most
-    200 steps.  Every step evaluates g with libm.  Raises ValueError when
-    the residual correlation rounds to 1 while hi is sought (rho = 1 at
-    enormous power).
+    The rate ceiling depends on the rate through the residual correlation,
+    so the operating point is a fixed point r = rhs(r).  With q = 2^-2r,
+    e = 1 - q, s = p / noise_var, a = 1 + rho^2 and b = 1 - rho^2, taken as
+    (1 - rho)(1 + rho), rhs - r has the sign of F(q) = 2 s q^2 (1 + rho e)
+    - e (a q + b).  F(0) < 0 < F(1), and F = -2 s rho q^3 + (2 s (1 + rho)
+    + a) q^2 - 2 rho^2 q - b has at most two positive roots (Descartes), so
+    one in (0, 1); at rho = 1, F = q h(q) and h has one root there.
+
+    F(1/2) > 0, that is s (2 + rho) > 3 - rho^2, puts the root below 1/2.
+    Newton's method then runs on q in the bracket [0, 1/2] with F / (q s),
+    which keeps p and noise_var apart so that s may overflow, from the root
+    of 2 (1 + rho) q - (a + b / q) / 2s, which bounds F / (q s) from above
+    and so lies within a factor 4 below the root.  Otherwise it runs on e in
+    [0, 1/2] with -F from e = 0, so that a rate near 0 keeps its relative
+    precision.  Each iterate becomes the bracket's end on its side of the
+    root, and a step that leaves the bracket takes its midpoint instead, so
+    the bracket strictly shrinks on every step; the loop ends when a step
+    leaves the iterate where it is or the midpoint is an end.  1 - rho_tilde
+    is taken as (1 - rho) + rho q, so nothing cancels near rho = 1.
 
     Returns
     -------
@@ -194,51 +183,37 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
     symmetric_instance(sigma_sq, rho, p, noise_var)  # checks the arguments
     if p == 0:
         return 0.0, sigma_sq
-
-    def g(r):
-        rt = rho * (1.0 - 2.0 ** (-2.0 * r))
-        _require_decodable(rt)
-        return 0.25 * _log2_rhs(p, noise_var, rt) - r
-
-    # the quotient under the log2 is at least 1, so hi >= 1
-    hi = 0.25 * _log2_rhs(p, noise_var, rho) + 1.0 if rho < 1.0 else 1.0
-    for _ in range(200):
-        if g(hi) < 0:
-            break
-        hi *= 2.0
-    else:
-        raise ConvergenceError("no sign change found for the symmetric rate")
-
-    # bisect the index k of the cell ends hi * k / 1024, keeping g > 0 at
-    # index a and g <= 0 at index b; the cell the inner bisection starts
-    # from fixes the last bits of the rate
-    cells = 1024
-    left, right = 0.0, hi
-    if g(left) > 0:
-        a, b = 0, cells
-        while b - a > 1:
-            k = (a + b) // 2
-            if g(hi * k / cells) > 0:
-                a = k
-            else:
-                b = k
-        left, right = hi * a / cells, hi * b / cells
-
-    for _ in range(200):
-        if right - left <= 1e-12:
-            break
-        mid = 0.5 * (left + right)
-        if g(mid) > 0:
-            left = mid
+    a = 1.0 + rho * rho
+    b = (1.0 - rho) * (1.0 + rho)
+    s = p / noise_var
+    on_q = s * (2.0 + rho) > 3.0 - rho * rho
+    x, lo, hi = 0.0, 0.0, 0.5
+    if on_q:
+        w = math.sqrt(noise_var) / math.sqrt(p)  # sqrt(1 / s)
+        x = (w * (w * a + math.hypot(w * a, 4.0 * math.sqrt((1.0 + rho) * b)))
+             / (8.0 * (1.0 + rho)))
+        ca = a * noise_var / p
+    while True:
+        if on_q:
+            q, e = x, 1.0 - x
+            u = b / q * noise_var / p
+            f = 2.0 * q * (1.0 + rho * e) - e * (ca + u)
+            fp = 2.0 * (1.0 + rho * e) - 2.0 * rho * q + ca + u + e * u / q
         else:
-            right = mid
-    else:
-        raise ConvergenceError("symmetric rate bisection did not converge")
-
-    r = 0.5 * (left + right)
-    q = 2.0 ** (-2.0 * r)
-    rt = rho * (1.0 - q)
-    return r, sigma_sq * q * (1.0 - rho * rt) / (1.0 - rt * rt)
+            e, q = x, 1.0 - x
+            f = e * (a * q + b) - 2.0 * s * q * q * (1.0 + rho * e)
+            fp = 2.0 * s * q * (2.0 + 2.0 * rho * e - rho * q) + a * q + b - a * e
+        lo, hi = (x, hi) if f < 0 else (lo, x)
+        step = x - f / fp
+        if step == x:
+            break
+        x = step if lo < step < hi else 0.5 * (lo + hi)
+        if x == lo or x == hi:
+            break
+    q, e = (x, 1.0 - x) if on_q else (1.0 - x, x)
+    r = -0.5 * math.log2(q) if on_q else -math.log1p(-e) / (2.0 * math.log(2.0))
+    return r, sigma_sq * (q * ((b + rho * rho * q) / ((1.0 - rho) + rho * q))
+                          / (1.0 + rho * e))
 
 
 def high_snr_asymptote(sigma_sq: float, rho: float) -> float:

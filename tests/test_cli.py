@@ -327,17 +327,45 @@ def test_simulate_vq_with_an_overflowing_window_exits_promptly(p, trials):
     assert proc.stderr == "error: the decoding objectives overflow at this power\n"
 
 
-def test_vq_bound_at_an_overflowing_rate_is_quiet(capsys):
-    # -2 r overflows to -inf in the share 2^-2r, which is then 0
+def test_vq_bound_at_an_overflowing_rate_is_refused_quietly(capsys):
+    # -2 r overflows to -inf in the share 2^-2r, which is then 0, and so is d1
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         code, out, err = run_cli(capsys, "vq-bound", "--rho", "0.5", "--r1", "1e308",
                                  "--r2", "0.5")
-    assert (code, err) == (0, "")
+    assert (code, out) == (1, "")
+    assert err == "error: d1 underflows to 0 at --rho 0.5 --r1 1e308 --r2 0.5\n"
+
+
+UNDERFLOW_INSTANCE = ("--sigma2", "1e-300", "--rho", "0.5")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("vq-bound", "--rho", "0.5", "--r1", "600", "--r2", "0.5"), "d1"),
+    (("vq-bound", *UNDERFLOW_INSTANCE, "--p", "1e300"), "d1"),
+    (("bounds", *UNDERFLOW_INSTANCE, "--p", "1e300", "--d1", "1e-310", "--d2", "1e-310"),
+     "vq_d1"),
+    (("sweep", *UNDERFLOW_INSTANCE, "--snr-grid", "1e300:1e300:1:log"), "outer_d"),
+    (("sweep", *UNDERFLOW_INSTANCE, "--snr-grid", "1e300:1e300:1:log", "--format", "json"),
+     "outer_d"),
+    (("sweep", *UNDERFLOW_INSTANCE, "--p", "1e300", "--boundary", "--resolution", "4"),
+     "vq_d2"),
+    (("uncoded", "--sigma2", "1e-300", "--rho", "1", "--p", "1e300", "--noise", "1e-300"),
+     "d1"),
+])
+def test_distortion_underflowing_to_zero_exits_1(capsys, argv, field):
+    # each document would print 0 where its schema requires a positive value
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {field} underflows to 0 at {' '.join(argv[1:])}\n"
+
+
+def test_vq_bound_at_a_subnormal_distortion_validates(capsys):
+    code, out, _ = run_cli(capsys, "vq-bound", "--rho", "0.5", "--r1", "530", "--r2", "0.5")
+    assert code == 0
     doc = json.loads(out)
-    assert {k: doc[k] for k in ("d1", "d2", "in_region", "rho_tilde")} == {
-        "d1": 0.0, "d2": 0.42857142857142855, "in_region": False,
-        "rho_tilde": 0.3535533905932738}
+    check_schema(doc, "vq-bound")
+    assert doc["d1"] == 8.095e-320
 
 
 def test_jsonable_replaces_nonfinite():
@@ -640,15 +668,30 @@ def test_out_of_memory_exits_1(capsys, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv", [
     ("vq-bound", "--sigma2", "1", "--rho", "1", "--p", "1e300", "--noise", "1"),
-    ("sweep", "--rho", "1", "--snr-grid", "1e299:1e300:3:log"),
+    ("sweep", "--rho", "1", "--snr-grid", "1e299:1e300:3:log", "--format", "json"),
     ("vq-bound", "--rho", "1", "--p", "1e308"),
 ])
-def test_symmetric_solve_at_full_residual_correlation_exits_1(capsys, argv):
-    # rho_tilde rounds to 1 while the solver seeks the top of its bracket;
-    # that once ended in a ZeroDivisionError traceback
+def test_symmetric_solve_at_full_residual_correlation_is_the_root(capsys, argv,
+                                                                  symmetric_root):
+    # rho_tilde rounded to 1 while the bisection once sought the top of its
+    # bracket, so these exited 1
     code, out, err = run_cli(capsys, *argv)
-    assert (code, out) == (1, "")
-    assert err.count("\n") == 1 and "rounds to 1" in err
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    if argv[0] == "sweep":
+        check_schema(doc, "sweep-snr")
+        for row in doc:
+            symmetric_root(1.0, 1.0, row["snr"], 1.0, row["vq_rate"], row["vq_d"])
+    else:
+        check_schema(doc, "vq-bound")
+        symmetric_root(doc["sigma1_sq"], 1.0, doc["p1"], doc["noise_var"], doc["rate"],
+                       doc["d1"])
+
+
+def test_symmetric_solve_at_full_correlation_from_1e10(capsys):
+    code, out, _ = run_cli(capsys, "vq-bound", "--rho", "1", "--p", "1e10")
+    assert code == 0
+    assert json.loads(out)["rate"] == 17.109640474454846
 
 
 def test_symmetric_solve_with_overflowing_quotient_finds_fixed_point(capsys):

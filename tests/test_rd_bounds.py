@@ -149,6 +149,26 @@ def test_symmetric_outer_bound_with_overflowing_denominator_matches_mpmath(p, rh
     assert got == pytest.approx(float(want), rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("rho, p", [
+    # 1 - rho^2 cancels in 1 - rho * rho
+    (0.999999, 1e20), (0.999999, 1e6), (0.999999, 1.7e308),
+    # rho^2 is exact in binary, so only the quotient's root moves: at these
+    # powers (1 - rho^2) / denom is subnormal
+    (1.0 - 2.0 ** -20, 1e305), (1.0 - 2.0 ** -26, 4e307), (1.0 - 2.0 ** -26, 1e302),
+    # at these it is normal, and at the last 2p overflows
+    (1.0 - 2.0 ** -20, 1e300), (1.0 - 2.0 ** -26, 1e290), (1.0 - 2.0 ** -20, 1e308),
+])
+def test_symmetric_outer_bound_root_branch_is_exact(rho, p):
+    # within 4 ulps of 60 digits on the square-root branch
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(60):
+        r, pm = mp.mpf(rho), mp.mpf(p)
+        assert pm * (1 - r * r) > r
+        want = mp.sqrt((1 - r * r) / (2 * pm * (1 + r) + 1))
+    got = symmetric_outer_bound(1.0, rho, p, 1.0)
+    assert abs(got - want) <= 4 * math.ulp(float(want))
+
+
 def test_oracle_matches_closed_form_spot_checks():
     cases = [(0.0, 0.25, 0.25), (0.5, 0.3, 0.3), (0.5, 0.3, 0.7),
              (0.5, 0.9, 0.1), (0.8, 0.15, 0.55), (0.95, 0.4, 0.8)]

@@ -191,8 +191,6 @@ def test_symmetric_solve_at_zero_power_keeps_the_full_variance():
 # libm's pow for the shares, and for the region limits the log2 that
 # vq_analytic takes (numpy's, or numpy's moved by the log2_off fixture), as
 # in_rate_region takes them; distortion_grid must agree with it bit for bit.
-# The symmetric references take libm's log2, as solve_symmetric_rate does;
-# reference_solve keeps the 1,025-point scan the solver replaced.
 
 def _scalar_map(fn, x):
     x = np.asarray(x, dtype=float)
@@ -224,56 +222,24 @@ def reference_grid(c, r1, r2):
     return inside, d1, d2
 
 
-def _reference_log2_rhs(p, noise_var, rt):
-    num = 2.0 * p * (1.0 + rt) + noise_var
-    den = noise_var * (1.0 - rt * rt)
-    if num / den == math.inf:  # the quotient overflows, its log2 does not
-        return math.log2(num) - math.log2(den)
-    return math.log2(num / den)
-
-
-def _reference_g(rho, p, noise_var, r):
-    q = 2.0 ** (-2.0 * r)
-    rt = rho * (1.0 - q)
-    return 0.25 * _reference_log2_rhs(p, noise_var, rt) - r
-
-
-def reference_scan(rho, p, noise_var):
-    """The 1,025 scan points and their scalar g."""
-    if rho < 1.0:
-        hi = max(0.25 * _reference_log2_rhs(p, noise_var, rho) + 1.0, 1.0)
-    else:
-        hi = 1.0
-    while _reference_g(rho, p, noise_var, hi) >= 0:
-        hi *= 2.0
-    xs = [hi * k / 1024 for k in range(1025)]
-    return xs, [_reference_g(rho, p, noise_var, x) for x in xs]
-
-
-def reference_solve(sigma_sq, rho, p, noise_var):
-    xs, gs = reference_scan(rho, p, noise_var)
-    left, right = 0.0, xs[-1]
-    for k in range(1024, 0, -1):
-        if gs[k - 1] > 0 >= gs[k]:
-            left, right = xs[k - 1], xs[k]
-            break
-    while right - left > 1e-12:
-        mid = 0.5 * (left + right)
-        if _reference_g(rho, p, noise_var, mid) > 0:
-            left = mid
-        else:
-            right = mid
-    r = 0.5 * (left + right)
-    q = 2.0 ** (-2.0 * r)
-    rt = rho * (1.0 - q)
-    return r, sigma_sq * q * (1.0 - rho * rt) / (1.0 - rt * rt)
+_SIGN = np.int64(-2 ** 63)
 
 
 def _step(x, ulps):
-    """x moved by ulps units in the last place."""
-    for _ in range(abs(ulps)):
-        x = np.nextafter(x, math.copysign(math.inf, ulps))
-    return x
+    """x moved by ulps units in the last place, as |ulps| calls of
+    np.nextafter toward copysign(inf, ulps) move it, for finite x at least
+    |ulps| ulps inside the finite range.  A double's bits read as an int64
+    count its ulps from zero on either side, so the move is one integer add
+    on a scale where -0.0 and +0.0 are one point, and it crosses zero as
+    nextafter does."""
+    if not ulps:
+        return x
+    x = np.float64(x) if np.ndim(x) == 0 else np.asarray(x, dtype=float)
+    bits = x.view(np.int64)
+    neg = bits >> 63  # -1 below zero, else 0
+    k = ((bits & ~_SIGN) ^ neg) - neg + ulps  # signed ulps from zero, moved
+    neg = k >> 63
+    return (((k ^ neg) - neg) | (neg & _SIGN)).view(np.float64)
 
 
 class _MovedLog2:
@@ -291,8 +257,7 @@ class _MovedLog2:
 
 # numpy's log2 as it is, and moved by 1 and 64 ulps either way, under both
 # the scalar region test and distortion_grid: they take the region limits
-# from one log2, so no such move can part them, and the symmetric solve takes
-# libm's log2, so no such move reaches it
+# from one log2, so no such move can part them
 log2_offsets = pytest.mark.parametrize("ulps", [0, 1, -1, 64, -64])
 
 
@@ -398,96 +363,10 @@ def test_grids_match_reference_under_moved_log2(log2_off):
             assert got[2].tobytes() == ref[2].tobytes()
 
 
-# (rho, p, k, u): the reference scan at noise variance 1 has g = u ulps of
-# x at its point k
-SCAN_ON_ZERO = [
-    (0.0, 7.499999999999992, 512, -1.0),
-    (0.0, 7.499999999999999, 512, 0.0),
-    (0.0, 7.500000000000003, 512, 1.0),
-    (0.5, 16.58370343095668, 600, -1.0),
-    (0.5, 16.58370343095669, 600, 0.0),
-    (0.5, 16.583703430956728, 600, 1.0),
-    (0.9, 49.000988361315166, 700, -1.0),
-    (0.9, 49.00098836131528, 700, 0.0),
-    (0.9, 49.000988361315436, 700, 1.0),
-]
-
-
-@log2_offsets
-def test_scan_points_on_zero_match_reference(log2_off):
-    for rho, p, k, u in SCAN_ON_ZERO:
-        xs, gs = reference_scan(rho, p, 1.0)
-        assert gs[k] == u * math.ulp(xs[k])
-        assert solve_symmetric_rate(1.0, rho, p, 1.0) == reference_solve(1.0, rho, p, 1.0)
-
-
-@log2_offsets
-def test_symmetric_solves_match_reference_under_moved_log2(log2_off):
-    rng = np.random.default_rng(17)
-    for k in range(40):
-        rho = (0.0, 1.0, 1.0 - 1e-12, float(rng.uniform()))[k % 4]
-        p = float(10 ** rng.uniform(-6, 8))
-        n = float(10 ** rng.uniform(-2, 2))
-        sigma_sq = float(10 ** rng.uniform(-1, 1))
-        assert (solve_symmetric_rate(sigma_sq, rho, p, n)
-                == reference_solve(sigma_sq, rho, p, n))
-
-
-def _assert_solve_matches_reference(sigma_sq, rho, p, n):
-    try:
-        want = reference_solve(sigma_sq, rho, p, n)
-    except ZeroDivisionError:  # 1 - rho_tilde^2 rounds to 0 in the reference
-        with pytest.raises(ValueError, match="rounds to 1"):
-            solve_symmetric_rate(sigma_sq, rho, p, n)
-        return False
-    assert solve_symmetric_rate(sigma_sq, rho, p, n) == want
-    return True
-
-
-def test_symmetric_solves_match_reference_on_seeded_instances():
-    # rho at 0, uniform, within 10^-15..10^-1 of 1 and at 1; powers over most
-    # of the double range
-    rng = np.random.default_rng(26)
-    solved = []
-    for k in range(512):
-        rho = (0.0, float(rng.uniform()), 1.0 - 10.0 ** -float(rng.uniform(1, 15)),
-               1.0)[k % 4]
-        p = float(10 ** rng.uniform(-300, 307))
-        n = float(10 ** rng.uniform(-2, 2))
-        sigma_sq = float(10 ** rng.uniform(-3, 3))
-        solved.append(_assert_solve_matches_reference(sigma_sq, rho, p, n))
-    # both outcomes are exercised
-    assert 0 < solved.count(False) < solved.count(True)
-
-
-@pytest.mark.parametrize("sigma_sq, rho, grid", [
-    (1.0, 0.5, np.geomspace(0.1, 100.0, 50)),  # sweep-snr
-    (2.0, 0.5, np.geomspace(0.1, 100.0, 50)),  # sweep-snr-neg, at |rho|
-    (1.0, 0.9, np.linspace(0.5, 20.0, 40)),  # sweep-snr-lin-convexify
-    (1.0, 0.5, np.linspace(0.5, 20.0, 40)),
-])
-def test_symmetric_solves_match_reference_on_golden_grids(sigma_sq, rho, grid):
-    for p in grid.tolist():
-        assert _assert_solve_matches_reference(sigma_sq, rho, p, 1.0)
-
-
-# (rho, p): 1 - rho^2 so small and p so large that the ceiling's quotient
-# overflows on the way to the fixed point
-OVERFLOWING = [(0.999999999999, 1e300), (1.0 - 1e-15, 1e295), (0.9999999, 1e306)]
-
-
-@log2_offsets
-def test_symmetric_solve_with_overflowing_quotient_matches_reference(log2_off):
-    for rho, p in OVERFLOWING:
-        assert (2.0 * p * (1.0 + rho) + 1.0) / (1.0 - rho * rho) == math.inf
-        r, d = solve_symmetric_rate(1.0, rho, p, 1.0)
-        assert math.isfinite(r) and 0.0 < d < 1.0
-        assert (r, d) == reference_solve(1.0, rho, p, 1.0)
-
-
 def test_symmetric_solve_with_overflowing_quotient_is_the_fixed_point():
-    # the fixed point to 60 digits at the same double inputs
-    rho, p = OVERFLOWING[0]
+    # 1 - rho^2 so small and p so large that the ceiling's quotient
+    # overflows; the fixed point to 60 digits at the same double inputs
+    rho, p = 0.999999999999, 1e300
     mpmath = pytest.importorskip("mpmath")
     with mpmath.workdps(60):
         rho_m = mpmath.mpf(rho)
@@ -521,6 +400,51 @@ def test_symmetric_solve_with_overflowing_numerator_is_the_fixed_point(rho, p):
     r, d = solve_symmetric_rate(1.0, rho, p, 1.0)
     assert r == pytest.approx(float(exact), abs=1e-9)
     assert d == pytest.approx(exact_d, rel=1e-9, abs=0.0)
+
+
+@pytest.mark.parametrize("rho", [0.0, 0.5, 0.99, 1.0 - 1e-6, 1.0 - 1e-12, 1.0])
+def test_symmetric_solve_is_the_60_digit_root_over_the_power_range(rho, symmetric_root):
+    for p in np.geomspace(1e-300, 1.7e308, 41).tolist():
+        symmetric_root(1.0, rho, p, 1.0, *solve_symmetric_rate(1.0, rho, p, 1.0))
+
+
+def test_symmetric_solve_is_the_60_digit_root_on_seeded_instances(symmetric_root):
+    # rho at 0, uniform, within 10^-15..10^-1 of 1 and at 1; powers up to
+    # 1e307 and noise down to 1e-2, so that p / noise_var overflows
+    rng = np.random.default_rng(31)
+    cases = [(1e3, 1.0, 1e307, 1e-2), (1e-3, 0.5, 1e307, 1e-2), (1.0, 0.5, 1e-300, 1e2)]
+    for k in range(160):
+        rho = (0.0, float(rng.uniform()), 1.0 - 10.0 ** -float(rng.uniform(1, 15)),
+               1.0)[k % 4]
+        cases.append((float(10 ** rng.uniform(-3, 3)), rho,
+                      float(10 ** rng.uniform(-300, 307)), float(10 ** rng.uniform(-2, 2))))
+    for case in cases:
+        symmetric_root(*case, *solve_symmetric_rate(*case))
+
+
+@pytest.mark.parametrize("p", [1e9, 1e10, 1e300, 1.7e308])
+def test_symmetric_solve_answers_at_full_correlation(p, symmetric_root):
+    # rho_tilde once rounded to 1 while the bisection sought its bracket,
+    # from p of about 1e10 up
+    r, d = solve_symmetric_rate(1.0, 1.0, p, 1.0)
+    assert 0.0 < d < 1.0 and math.isfinite(r)
+    symmetric_root(1.0, 1.0, p, 1.0, r, d)
+
+
+def test_step_equals_repeated_nextafter():
+    # normal values, subnormals, zeros and steps across zero either way
+    tiny = 5e-324
+    xs = np.array([1.0, -1.0, 0.7, -3.5e200, 1e300, 2.0 ** -1022, -2.0 ** -1022,
+                   1e-310, -1e-310, tiny, -tiny, 0.0, -0.0, 64 * tiny, 3 * tiny])
+    for ulps in (-64, -3, -1, 0, 1, 3, 64):
+        want = xs.copy()
+        for _ in range(abs(ulps)):
+            want = np.nextafter(want, math.copysign(math.inf, ulps))
+        assert np.array_equal(_step(xs, ulps), want)
+        for x, w in zip(xs.tolist(), want.tolist()):
+            assert _step(x, ulps) == w
+    assert _step(tiny, -64) == -63 * tiny
+    assert _step(-tiny, 64) == 63 * tiny
 
 
 @log2_offsets
@@ -570,13 +494,6 @@ def test_rate_between_numpy_and_libm_limits_follows_numpy():
         assert rate_region_limits(c, 0.0)[0] + 1e-12 == numpy_edge
         assert in_rate_region(c, make_rate_pair(c, r1, 0.0)) is inside
         assert distortion_grid(c, [r1], [0.0])[0].tolist() == [[inside]]
-
-
-def test_symmetric_solve_refuses_full_residual_correlation():
-    # at rho = 1 and this power rho_tilde rounds to 1 before the scan's
-    # upper end is found; that once ended in a ZeroDivisionError
-    with pytest.raises(ValueError, match="rounds to 1"):
-        solve_symmetric_rate(1.0, 1.0, 1e300, 1.0)
 
 
 @pytest.mark.parametrize("fn", [symmetric_outer_bound, solve_symmetric_rate])
