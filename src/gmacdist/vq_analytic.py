@@ -174,11 +174,9 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
     root, and a step that leaves the bracket takes its midpoint instead, so
     the bracket strictly shrinks on every step; the loop ends when a step
     leaves the iterate where it is or the midpoint is an end.  1 - rho_tilde
-    is taken as (1 - rho) + rho q, so nothing cancels near rho = 1.
-
-    Returns
-    -------
-    (rate, distortion) : tuple of float
+    is taken as (1 - rho) + rho q, so nothing cancels near rho = 1.  Returns
+    (rate, distortion) as floats.  Raises ValueError where the start of the
+    q branch underflows to 0 (at rho = 1, for p / noise_var from 2^1073).
     """
     symmetric_instance(sigma_sq, rho, p, noise_var)  # checks the arguments
     if p == 0:
@@ -192,6 +190,8 @@ def solve_symmetric_rate(sigma_sq: float, rho: float, p: float, noise_var: float
         w = math.sqrt(noise_var) / math.sqrt(p)  # sqrt(1 / s)
         x = (w * (w * a + math.hypot(w * a, 4.0 * math.sqrt((1.0 + rho) * b)))
              / (8.0 * (1.0 + rho)))
+        if not x:
+            raise ValueError("the symmetric share 2^-2r underflows at this power ratio")
         ca = a * noise_var / p
     while True:
         if on_q:

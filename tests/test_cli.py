@@ -360,6 +360,13 @@ def test_distortion_underflowing_to_zero_exits_1(capsys, argv, field):
     assert err == f"error: {field} underflows to 0 at {' '.join(argv[1:])}\n"
 
 
+def test_symmetric_share_underflowing_exits_1(capsys):
+    code, out, err = run_cli(capsys, "vq-bound", "--rho", "1", "--p", "1e300",
+                             "--noise", "1e-100")
+    assert (code, out) == (1, "")
+    assert err == "error: the symmetric share 2^-2r underflows at this power ratio\n"
+
+
 def test_vq_bound_at_a_subnormal_distortion_validates(capsys):
     code, out, _ = run_cli(capsys, "vq-bound", "--rho", "0.5", "--r1", "530", "--r2", "0.5")
     assert code == 0

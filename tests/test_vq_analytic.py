@@ -422,6 +422,26 @@ def test_symmetric_solve_is_the_60_digit_root_on_seeded_instances(symmetric_root
         symmetric_root(*case, *solve_symmetric_rate(*case))
 
 
+@pytest.mark.parametrize("sigma_sq, rho, grid", [
+    (1.0, 0.5, np.geomspace(0.1, 100.0, 50)),  # sweep-snr
+    (2.0, 0.5, np.geomspace(0.1, 100.0, 50)),  # sweep-snr-neg, at |rho|
+    (1.0, 0.9, np.linspace(0.5, 20.0, 40)),  # sweep-snr-lin-convexify
+    (1.0, 0.5, np.linspace(0.5, 20.0, 40)),
+])
+def test_symmetric_solves_are_the_root_on_golden_grids(sigma_sq, rho, grid, symmetric_root):
+    for p in grid.tolist():
+        symmetric_root(sigma_sq, rho, p, 1.0, *solve_symmetric_rate(sigma_sq, rho, p, 1.0))
+
+
+# 1 - rho^2 so small and p so large that the rate ceiling's quotient
+# (2p (1 + rho) + 1) / (1 - rho^2) overflows
+@pytest.mark.parametrize("rho, p", [(0.999999999999, 1e300), (1.0 - 1e-15, 1e295),
+                                    (0.9999999, 1e306)])
+def test_symmetric_solve_with_overflowing_quotient_is_the_root(rho, p, symmetric_root):
+    assert (2.0 * p * (1.0 + rho) + 1.0) / (1.0 - rho * rho) == math.inf
+    symmetric_root(1.0, rho, p, 1.0, *solve_symmetric_rate(1.0, rho, p, 1.0))
+
+
 @pytest.mark.parametrize("p", [1e9, 1e10, 1e300, 1.7e308])
 def test_symmetric_solve_answers_at_full_correlation(p, symmetric_root):
     # rho_tilde once rounded to 1 while the bisection sought its bracket,
@@ -429,6 +449,12 @@ def test_symmetric_solve_answers_at_full_correlation(p, symmetric_root):
     r, d = solve_symmetric_rate(1.0, 1.0, p, 1.0)
     assert 0.0 < d < 1.0 and math.isfinite(r)
     symmetric_root(1.0, 1.0, p, 1.0, r, d)
+
+
+def test_symmetric_solve_refuses_an_underflowing_share():
+    # at rho = 1 the root q is about noise_var / 2p, which is 0 in doubles here
+    with pytest.raises(ValueError, match="2\\^-2r underflows"):
+        solve_symmetric_rate(1.0, 1.0, 1e300, 1e-100)
 
 
 def test_step_equals_repeated_nextafter():
