@@ -21,7 +21,6 @@ import numpy as np
 
 from .acceptance import DEFAULT_SEED, format_report, run_all
 from .model import DistortionPair, ProblemInstance, canonicalize
-from .rd_bounds import ConvergenceError
 from .region import (
     TRACE_D1_START,
     BoundaryPoint,
@@ -113,16 +112,34 @@ def _emit_json(args, obj):
     _emit(args, json.dumps(_jsonable(obj), indent=2, sort_keys=True) + "\n")
 
 
-# distortions that the documents' schemas require to be positive
-_DISTORTIONS = frozenset(("d1", "d2", "analytic_d1", "analytic_d2", "uncoded_d1",
-                          "uncoded_d2", "vq_d1", "vq_d2", "outer_d", "uncoded_d", "vq_d",
-                          "outer_d2"))
+# What each document's schema, docs/schemas/KIND.json, asks of its floats
+# besides being numbers: the fields it requires positive, and the fields it
+# lets be null.
+_INSTANCE = ("sigma1_sq", "sigma2_sq", "p1", "p2", "noise_var")
+_SCHEMA_FLOATS = {
+    "bounds": (_INSTANCE + ("d1", "d2", "capacity_term", "uncoded_d1", "uncoded_d2",
+                            "vq_d1", "vq_d2"), ()),
+    "uncoded": (_INSTANCE + ("d1", "d2"), ("symmetric_threshold_snr",)),
+    "simulate-uncoded": (_INSTANCE + ("analytic_d1", "analytic_d2"), ()),
+    "vq-bound": (_INSTANCE + ("d1", "d2"), ("rate", "rho_tilde")),
+    "simulate-vq": (_INSTANCE + ("analytic_d1", "analytic_d2"), ("cond_d1", "cond_d2")),
+    "sweep-snr": (("snr", "sigma_sq", "outer_d", "uncoded_d", "vq_d"), ()),
+    "sweep-boundary": (("d1", "outer_d2", "uncoded_d2", "vq_d2"),
+                       ("outer_d2", "uncoded_d2", "vq_d2")),
+}
 
 
-def _refuse_underflow(args, docs):
-    """Refuse documents that would print a distortion which underflowed to 0."""
-    for k in (k for doc in docs for k, v in doc.items() if k in _DISTORTIONS and v == 0.0):
-        raise ValueError(f"{k} underflows to 0 at {args.flags}")
+def _check_documents(args, kind, docs):
+    """Refuse documents that docs/schemas/KIND.json would refuse: a float
+    that underflowed to 0 where the schema requires it positive, or one
+    that is not finite where the schema does not let it be null."""
+    positive, nullable = _SCHEMA_FLOATS[kind]
+    for doc in docs:
+        for k, v in doc.items():
+            if k in positive and v == 0.0:
+                raise ValueError(f"{k} underflows to 0 at {args.flags}")
+            if isinstance(v, float) and not math.isfinite(v) and k not in nullable:
+                raise ValueError(f"{k} overflows at {args.flags}")
 
 
 def _fmt(v) -> str:
@@ -133,9 +150,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _emit_table(args, columns, rows):
+def _emit_table(args, kind, columns, rows):
     docs = [dict(zip(columns, r)) for r in rows]
-    _refuse_underflow(args, docs)
+    _check_documents(args, kind, docs)
     if args.format == "json":
         _emit_json(args, docs)
         return
@@ -152,7 +169,7 @@ def _instance_command(answer):
         inst = _instance_from_args(args)
         out = dataclasses.asdict(inst)
         out.update(answer(args, _canonical(inst)))
-        _refuse_underflow(args, [out])
+        _check_documents(args, args.command, [out])
         _emit_json(args, out)
         return 0
     return handler
@@ -162,7 +179,7 @@ def _in_instance_units(c, doc: dict, *keys) -> dict:
     """doc with the canonical second-component distortions at keys taken
     back to the instance's units."""
     for k in keys:
-        doc[k] *= c.scale2
+        doc[k] = float(doc[k]) * c.scale2
     return doc
 
 
@@ -184,10 +201,6 @@ def _uncoded(args, c) -> dict:
     root = math.sqrt(c.scale2)
     doc["gain2"] /= root
     doc["lmmse2"] *= -root if args.rho < 0 else root
-    for k in ("gain2", "lmmse2"):
-        if not math.isfinite(doc[k]):
-            raise ValueError(f"{k} in the units of --var2 overflows "
-                             f"(--var2/--var1 = {c.scale2:g})")
     thr = optimality_threshold(c.rho)
     doc.update(symmetric_threshold_snr=thr, at_or_below_threshold=(
         c.p1 / c.noise_var <= thr if c.p1 == c.p2 else None))
@@ -269,7 +282,7 @@ def _cmd_sweep(args) -> int:
         points = trace_region_boundary(c, resolution=args.resolution)
         # every column after d1 is a second-component distortion
         rows = [(p.d1, *(v * c.scale2 for v in p[1:])) for p in points]
-        _emit_table(args, BoundaryPoint._fields, rows)
+        _emit_table(args, "sweep-boundary", BoundaryPoint._fields, rows)
         return 0
     sigma_sq = 1.0 if args.sigma2 is None else args.sigma2
     if args.var1 is not None or args.var2 is not None:
@@ -282,7 +295,7 @@ def _cmd_sweep(args) -> int:
     rows = snr_sweep(sigma_sq, abs(args.rho), _parse_grid(args.snr_grid))
     if args.convexify:
         rows = convexify(rows)
-    _emit_table(args, SweepRow._fields, rows)
+    _emit_table(args, "sweep-snr", SweepRow._fields, rows)
     return 0
 
 
@@ -404,9 +417,6 @@ def main(argv=None) -> int:
         if getattr(args, "seed", 0) is None:
             args.seed = seed
         return args.handler(args)
-    except ConvergenceError as e:
-        print(f"error: failed to converge: {e}", file=sys.stderr)
-        return 2
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -22,14 +22,10 @@ _MASK64 = (1 << 64) - 1
 MAX_TRIAL_BYTES = 64 << 20
 
 
-class TrialCountError(ValueError):
-    """Requested trial count needs more result memory than the cap."""
-
-
 def check_trial_bytes(trials: int, need: int) -> None:
     """Refuse, before allocating, a run whose results need above MAX_TRIAL_BYTES."""
     if need > MAX_TRIAL_BYTES:
-        raise TrialCountError(
+        raise ValueError(
             f"{trials} trials need {need >> 20} MiB of results, "
             f"cap is {MAX_TRIAL_BYTES >> 20} MiB")
 

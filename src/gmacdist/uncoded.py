@@ -121,11 +121,11 @@ def simulate_uncoded(c: CanonicalInstance, trials: int, seed: int,
 
     Trials are generated in fixed-size chunks, each with a seed derived from
     (seed, chunk index), and chunk sums are reduced in index order, so the
-    result is bitwise identical for any thread count.  Raises
-    TrialCountError, before allocating, when the chunk sums would need more
-    than MAX_TRIAL_BYTES (above 2^37 trials), ValueError when threads is
-    outside [1, MAX_THREADS], and ValueError when the summed squared errors
-    or powers are not finite.
+    result is bitwise identical for any thread count.  Raises ValueError,
+    before allocating, when the chunk sums would need more than
+    MAX_TRIAL_BYTES (above 2^37 trials), when threads is outside
+    [1, MAX_THREADS], and when the summed squared errors or powers are not
+    finite.
     """
     if trials < 1:
         raise ValueError("need at least one trial")

@@ -98,10 +98,12 @@ def make_rate_pair(c: CanonicalInstance, r1: float, r2: float) -> RatePair:
 def rate_region_limits(c: CanonicalInstance, rt: float):
     """Single-rate and sum-rate ceilings of the decodable region at a given
     residual correlation, each half numpy's log2 of its argument, as
-    distortion_grid takes them.  Raises ValueError when 1 - rt^2 rounds
-    to 0."""
+    distortion_grid takes them, +inf where the noise share underflows to
+    0.  Raises ValueError when 1 - rt^2 rounds to 0."""
     _require_decodable(rt)
-    return tuple(float(0.5 * np.log2(a)) for a in _limit_args(c, rt, 1.0 - rt * rt))
+    with np.errstate(divide="ignore", over="ignore"):
+        args = _limit_args(c, rt, np.float64(1.0 - rt * rt))
+        return tuple(float(0.5 * np.log2(a)) for a in args)
 
 
 def in_rate_region(c: CanonicalInstance, rates: RatePair) -> bool:

@@ -52,10 +52,6 @@ _STREAM_CODEBOOK1 = 1
 _STREAM_CODEBOOK2 = 2
 
 
-class CodebookSizeError(ValueError):
-    """Requested codebook exceeds the per-side size cap."""
-
-
 @dataclass(frozen=True, eq=False)
 class Codebook:
     """2^ceil(n*rate) words of length n, all of norm radius."""
@@ -84,12 +80,12 @@ def generate_codebook(n: int, rate: float, sigma_sq: float, seed: int) -> Codebo
 
     Words are IID Gaussian vectors normalized onto the sphere of radius
     sqrt(n * sigma_sq * (1 - 2^-2rate)).  Rate zero yields the single
-    all-zero word.  Raises ValueError for a negative or non-finite rate, and
-    CodebookSizeError, before allocating anything, above 2^22 words or
-    256 MiB of words.  Rows are drawn in blocks of about
-    _FILL_BLOCK_BYTES, each normalized and scaled in place while it is still
-    in cache; the generator's stream, and so every word, is that of one
-    (m, n) draw, and the codebook costs that one array.
+    all-zero word.  Raises ValueError for a negative or non-finite rate,
+    and, before allocating anything, above 2^22 words or 256 MiB of words.
+    Rows are drawn in blocks of about _FILL_BLOCK_BYTES, each normalized and
+    scaled in place while it is still in cache; the generator's stream, and
+    so every word, is that of one (m, n) draw, and the codebook costs that
+    one array.
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
@@ -97,12 +93,11 @@ def generate_codebook(n: int, rate: float, sigma_sq: float, seed: int) -> Codebo
         raise ValueError(f"rate must be nonnegative and finite, got {rate}")
     bits = math.ceil(n * rate)
     if bits > MAX_CODEBOOK_BITS:
-        raise CodebookSizeError(
-            f"codebook needs {bits} bits per word, cap is {MAX_CODEBOOK_BITS}")
+        raise ValueError(f"codebook needs {bits} bits per word, cap is {MAX_CODEBOOK_BITS}")
     m = 1 << bits
     size = m * n * 8
     if size > MAX_CODEBOOK_BYTES:
-        raise CodebookSizeError(
+        raise ValueError(
             f"codebook needs {size >> 20} MiB per side, "
             f"cap is {MAX_CODEBOOK_BYTES >> 20} MiB")
     radius = math.sqrt(n * sigma_sq * (1.0 - 2.0 ** (-2.0 * rate)))
@@ -297,7 +292,10 @@ def decode(cb1: Codebook, cb2: Codebook, a1: np.ndarray, a2: np.ndarray,
         return DecodeResult(0, 0, False)
     r1, r2 = cb1.radius, cb2.radius
     rr = r1 * r2
-    b = (alpha1 * r1) ** 2 + (alpha2 * r2) ** 2
+    try:
+        b = (alpha1 * r1) ** 2 + (alpha2 * r2) ** 2
+    except OverflowError:  # float ** raises where * gives inf
+        b = math.inf
     two_a = 2.0 * alpha1 * alpha2
     glo = max((rho_t - delta_typ) * rr, -rr)
     ghi = min((rho_t + delta_typ) * rr, rr)
@@ -398,11 +396,10 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
     on threads): their draws fill one (3, trials, n) array, each side is
     encoded and correlated with the channel outputs by one GEMM, each trial
     is decoded from its own row, and the statistics are block expressions.
-    Raises TrialCountError, before allocating, when the per-trial results
-    would need more than MAX_TRIAL_BYTES (above 2^20 trials), and
-    ValueError, before the region check, for a blocklength below 1,
-    non-finite rates, a window outside [0, inf) or threads outside
-    [1, MAX_THREADS].
+    Raises ValueError, before allocating, when the per-trial results would
+    need more than MAX_TRIAL_BYTES (above 2^20 trials), and, before the
+    region check, for a blocklength below 1, non-finite rates, a window
+    outside [0, inf) or threads outside [1, MAX_THREADS].
     """
     if n < 1:
         raise ValueError("blocklength must be at least 1")
@@ -461,7 +458,8 @@ def simulate_vq(c: CanonicalInstance, rates: RatePair, n: int, trials: int,
         se[ks, 1] = row_dots(s2 - (beta2 * u1 + gamma2 * u2))
         qmse[ks, 0] = row_dots(s1 - v1)
         qmse[ks, 1] = row_dots(s2 - v2)
-        corr[ks] = row_dots(v1, v2) / rr if rr > 0 else 0.0
+        # rounding can take a correlation past +-1
+        corr[ks] = np.clip(row_dots(v1, v2) / rr, -1.0, 1.0) if rr > 0 else 0.0
         err[ks] = (dec[:, 0] != idx1) | (dec[:, 1] != idx2)
         fell[ks] = dec[:, 2]
 

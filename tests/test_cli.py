@@ -14,7 +14,6 @@ import pytest
 
 import gmacdist.cli as cli
 from gmacdist.model import MAX_THREADS
-from gmacdist.rd_bounds import ConvergenceError
 from gmacdist.region import MAX_SWEEP_POINTS
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -80,7 +79,7 @@ def test_uncoded_gains_and_weights_in_the_instance_units(capsys, v1, v2, rho, p1
 def test_uncoded_overflowing_unit_conversion_exits_1(capsys, key, flags):
     code, out, err = run_cli(capsys, "uncoded", "--rho", "0.5", *flags)
     assert (code, out) == (1, "")
-    assert err.startswith(f"error: {key} in the units of --var2 overflows")
+    assert err.startswith(f"error: {key} overflows at --rho 0.5 ")
     assert err.count("\n") == 1
 
 
@@ -207,17 +206,6 @@ def test_vq_bound_flag_validation(capsys):
                            "--p1", "1", "--p2", "2", "--noise", "1")
     assert code == 1
     assert "equal powers" in err
-
-
-def test_vq_bound_convergence_exit_code(capsys, monkeypatch):
-    def explode(*args, **kwargs):
-        raise ConvergenceError("stub")
-
-    monkeypatch.setattr(cli, "solve_symmetric_rate", explode)
-    code, _, err = run_cli(capsys, "vq-bound", "--sigma2", "1", "--rho", "0.5",
-                           "--p", "1", "--noise", "1")
-    assert code == 2
-    assert "converge" in err
 
 
 def test_simulate_vq_output(capsys):
@@ -365,6 +353,112 @@ def test_symmetric_share_underflowing_exits_1(capsys):
                              "--noise", "1e-100")
     assert (code, out) == (1, "")
     assert err == "error: the symmetric share 2^-2r underflows at this power ratio\n"
+
+
+DBL_MAX = "1.7976931348623157e308"
+BOUNDARY_INSTANCE = ("--rho", "0.8401114790976159", "--sigma2", DBL_MAX, "--snr-grid",
+                     "2.721457879569117e-34:5.5035077358902254e-05:3:log", "--convexify")
+
+
+@pytest.mark.parametrize("argv, field", [
+    (("uncoded", "--rho", "0.5", "--var1", "7249.586044499311", "--var2", DBL_MAX,
+      "--p", "6826", "--noise", "1.77e34"), "d2"),
+    (("simulate-uncoded", "--rho", "-0.258337510658758", "--var1", "1.2012522486567748e+200",
+      "--var2", DBL_MAX, "--p1", "1.4038967137051916e+128", "--p2", "1e-310",
+      "--noise", "0.004246937789819672", "--trials", "167"), "d2"),
+    (("simulate-vq", "--rho", "0.5", "--var1", "4789.7", "--var2", DBL_MAX,
+      "--p", "2.2250738585072014e-308", "--noise", "3.3e-119", "--r1", "0.25", "--r2", "0.01",
+      "-n", "6", "--trials", "2", "--delta-typ", "0.9"), "empirical_d2"),
+    (("sweep", "--rho", "0.84", "--sigma2", DBL_MAX, "--snr-grid", "5.5e-05:5.5e-05:1:log"),
+     "outer_d"),
+    (("sweep", "--rho", "0.84", "--sigma2", DBL_MAX, "--snr-grid", "5.5e-05:5.5e-05:1:log",
+      "--format", "json"), "outer_d"),
+    (("sweep", *BOUNDARY_INSTANCE), "uncoded_d"),
+    (("sweep", *BOUNDARY_INSTANCE, "--format", "json"), "uncoded_d"),
+])
+def test_nonfinite_field_exits_1(capsys, argv, field):
+    # each document would print null (JSON) or inf (CSV) where its schema
+    # requires a number; the unit conversion multiplies quietly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == f"error: {field} overflows at {' '.join(argv[1:])}\n"
+
+
+def _fields(kind):
+    with open(SCHEMAS / f"{kind}.json") as fh:
+        schema = json.load(fh)
+    return schema.get("items", schema)["properties"]
+
+
+def test_document_checks_follow_the_schemas():
+    # the guard refuses 0 exactly where a schema requires a positive number,
+    # and a non-finite float exactly where it does not allow null
+    assert sorted(cli._SCHEMA_FLOATS) == sorted(p.stem for p in SCHEMAS.glob("*.json"))
+    args = argparse.Namespace(flags="FLAGS")
+    for kind in cli._SCHEMA_FLOATS:
+        for k, prop in _fields(kind).items():
+            if "number" not in prop["type"]:
+                continue
+            for v, refused, word in ((0.0, prop.get("exclusiveMinimum") == 0, "underflows"),
+                                     (math.inf, "null" not in prop["type"], "overflows"),
+                                     (math.nan, "null" not in prop["type"], "overflows")):
+                if refused:
+                    with pytest.raises(ValueError, match=f"^{k} {word}"):
+                        cli._check_documents(args, kind, [{k: v}])
+                else:
+                    cli._check_documents(args, kind, [{k: v}])
+
+
+@pytest.mark.parametrize("argv", [
+    ("vq-bound", "--rho", "0.9", "--noise", "5e-324", "--r1", "2", "--r2", "2"),
+    ("simulate-vq", "--rho", "0.9", "--noise", "5e-324", "--r1", "2", "--r2", "2",
+     "-n", "2", "--trials", "2"),
+])
+def test_subnormal_noise_puts_the_region_limits_at_infinity(capsys, argv):
+    # noise * (1 - rho_tilde^2) underflows to 0, so every limit is +inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    check_schema(doc, argv[0])
+    assert doc["in_region"] is True
+
+
+def test_simulate_vq_with_overflowing_objective_weights_exits_1(capsys):
+    # (alpha1 * r1) ** 2 overflows, which Python's float power raises
+    code, out, err = run_cli(
+        capsys, "simulate-vq", "--rho", "1.0", "--sigma2", DBL_MAX,
+        "--p1", "5.467513992666823e-192", "--p2", DBL_MAX, "--noise", "6.652424212275946e-199",
+        "--r1", "0.3593454940691353", "--r2", "0.6714086335695286", "-n", "1", "--trials", "2",
+        "--delta-typ", "0.7195850435611245")
+    assert (code, out) == (1, "")
+    assert err == "error: the decoding objectives overflow at this power\n"
+
+
+def test_simulate_vq_codeword_correlation_stays_within_1(capsys):
+    # at rho = 1 both words of a trial can be the same, and their normalized
+    # inner product rounds to 1 + 2^-52 without the clip
+    code, out, _ = run_cli(capsys, "simulate-vq", "--rho", "1", "--sigma2", "63.6",
+                           "--p", "305.8304973501705", "--r1", "2", "--r2", "2", "-n", "1",
+                           "--trials", "20", "--seed", "9")
+    assert code == 0
+    doc = json.loads(out)
+    check_schema(doc, "simulate-vq")
+    assert doc["empirical_codeword_corr"] == 1.0
+
+
+def test_capacity_term_at_a_small_power_ratio(capsys):
+    code, out, _ = run_cli(capsys, "bounds", "--rho", "0.5", "--p", "1e-20",
+                           "--d1", "0.9", "--d2", "0.9")
+    assert code == 0
+    doc = json.loads(out)
+    check_schema(doc, "bounds")
+    with mpmath.workdps(60):
+        want = mpmath.log1p(3 * mpmath.mpf(1e-20)) / (2 * mpmath.log(2))
+        assert abs(doc["capacity_term"] - want) <= 1e-12 * want
 
 
 def test_vq_bound_at_a_subnormal_distortion_validates(capsys):

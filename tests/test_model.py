@@ -15,7 +15,6 @@ from gmacdist.model import (
     CanonicalInstance,
     DistortionPair,
     ProblemInstance,
-    TrialCountError,
     canonicalize,
     check_threads,
     check_trial_bytes,
@@ -285,5 +284,5 @@ def test_thread_count_below_one_is_refused():
 
 def test_trial_bytes_cap():
     check_trial_bytes(1, model.MAX_TRIAL_BYTES)
-    with pytest.raises(TrialCountError, match="cap is 64 MiB"):
+    with pytest.raises(ValueError, match="cap is 64 MiB"):
         check_trial_bytes(7, model.MAX_TRIAL_BYTES + 1)

@@ -9,7 +9,6 @@ import pytest
 from gmacdist.model import (
     CanonicalInstance,
     ProblemInstance,
-    TrialCountError,
     canonicalize,
     derive_seed,
     symmetric_instance,
@@ -134,7 +133,7 @@ def test_simulation_trial_cap_refuses_before_allocating():
     # 2^37 trials fill 2^21 chunks of 32 bytes, the 64 MiB cap
     tracemalloc.start()
     try:
-        with pytest.raises(TrialCountError, match="cap is 64 MiB"):
+        with pytest.raises(ValueError, match="cap is 64 MiB"):
             simulate_uncoded(INST, (1 << 37) + 1, seed=1)
         _, peak = tracemalloc.get_traced_memory()
     finally:

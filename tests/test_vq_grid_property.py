@@ -1,8 +1,9 @@
 """Property: every distortion_grid cell is, bit for bit, what the scalar
 in_rate_region and vq_distortions give for that rate pair.
 
-Instances span sigma^2, powers and noise from 1e-300 to 1e300 and rho over
-[0, 1]; each grid mixes a log-spaced axis with rates within two ulps of
+Instances span sigma^2, powers and noise from 1e-300 to 1e300, noise also
+at subnormal values (where the noise share of the region limits underflows
+to 0 and the limits are +inf), and rho over [0, 1]; each grid mixes a log-spaced axis with rates within two ulps of
 the region's edges, where a last-bit difference between the two paths
 would change a decision.
 """
@@ -34,7 +35,8 @@ ULPS = range(-2, 3)
 scales = st.one_of(st.sampled_from([1e-300, 1.0, 1e300]),
                    st.floats(-300.0, 300.0).map(lambda e: 10.0 ** e))
 rhos = st.one_of(st.sampled_from([0.0, 1.0 - 1e-12, 1.0]), st.floats(0.0, 1.0))
-instances = st.builds(CanonicalInstance, scales, rhos, scales, scales, scales)
+noises = st.one_of(scales, st.sampled_from([5e-324, 1e-310]), st.floats(5e-324, 2.2e-308))
+instances = st.builds(CanonicalInstance, scales, rhos, scales, scales, noises)
 shift = st.floats(0.0, 1.0)
 
 
@@ -108,6 +110,7 @@ def _assert_grid(c, a1, a2, grid):
 @example(CanonicalInstance(1.0, 0.0, 2.0, 0.5, 1.0), 0.5)
 @example(CanonicalInstance(1.0, 1.0 - 1e-12, 2.0, 0.5, 1.0), 0.5)
 @example(CanonicalInstance(1.0, 1.0, 2.0, 0.5, 1.0), 0.5)
+@example(CanonicalInstance(1.0, 0.9, 1.0, 1.0, 5e-324), 0.5)
 def _grid_cells_equal_scalar_forms(c, t):
     a1, a2 = _axes(c, t)
     _assert_grid(c, a1, a2, distortion_grid(c, a1, a2))

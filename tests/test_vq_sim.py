@@ -8,7 +8,6 @@ import pytest
 from gmacdist import vq_sim
 from gmacdist.model import (
     ProblemInstance,
-    TrialCountError,
     canonicalize,
     derive_seed,
     sample_source_and_noise,
@@ -16,7 +15,6 @@ from gmacdist.model import (
 )
 from gmacdist.vq_analytic import make_rate_pair
 from gmacdist.vq_sim import (
-    CodebookSizeError,
     VqTrialStats,
     _block_best,
     _channel_gain,
@@ -200,7 +198,7 @@ def test_codebook_zero_rate():
 
 
 def test_codebook_size_cap():
-    with pytest.raises(CodebookSizeError):
+    with pytest.raises(ValueError, match="bits per word, cap is"):
         generate_codebook(64, 0.5, 1.0, 0)
 
 
@@ -219,7 +217,7 @@ def test_codebook_byte_cap_rejects_before_allocating():
     # 22 bits is within the bit cap, but 2^22 words of 64 doubles is 2 GiB
     tracemalloc.start()
     try:
-        with pytest.raises(CodebookSizeError, match="MiB"):
+        with pytest.raises(ValueError, match="MiB"):
             generate_codebook(64, 22 / 64, 1.0, 0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -835,7 +833,7 @@ def test_simulate_trial_cap_refuses_before_allocating():
     c = symmetric_instance(1.0, 0.8, 10.0, 1.0)
     tracemalloc.start()
     try:
-        with pytest.raises(TrialCountError, match="cap is 64 MiB"):
+        with pytest.raises(ValueError, match="cap is 64 MiB"):
             simulate_vq(c, make_rate_pair(c, 0.5, 0.5), 32, (1 << 20) + 1, seed=0)
         _, peak = tracemalloc.get_traced_memory()
     finally:
